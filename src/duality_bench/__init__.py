@@ -10,8 +10,6 @@ from duality_bench.cavi import (
 )
 from duality_bench.core import (
     BlockDecomposition,
-    BlockView,
-    ConditionalDensity,
     TargetModel,
     make_decomposition,
 )

@@ -5,14 +5,18 @@ the log full conditional under the other factors, in fixed order 0..K-1
 (results can depend on the order; fixing it makes runs reproducible). Three
 update paths share that contract:
 
-- analytic, for Gaussian targets with Gaussian factors;
-- exact summation, for discrete targets;
-- grid tabulation, for any target exposing 1-D block grids (expectations by
-  trapezoid quadrature on the model's declared grids).
+- the target's closed-form update (``TargetModel.cavi_update``): analytic
+  for Gaussian targets with Gaussian factors, exact summation for discrete
+  targets;
+- grid tabulation, for any target exposing 1-D block measures (expectations
+  by trapezoid quadrature on the nodes of the model's block measures).
 
-The engine is deterministic: there is no randomness beyond the initializer,
-and the default initializers are deterministic (exact marginals for analytic
-models, uniform for discrete, standard normal tables for the grid path).
+The engine never asks which family it runs: "auto" takes the target's
+closed-form update and factors where it has them and the grid path
+otherwise. It is deterministic: there is no randomness beyond the
+initializer, and the default initializers are deterministic (exact marginals
+for Gaussian models, uniform for discrete, standard normal tables for the
+grid path).
 """
 
 from __future__ import annotations
@@ -22,9 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from duality_bench.core import TargetModel
-from duality_bench.discrete import DiscreteFactor, DiscreteTarget, _safe_log, _xlogy
+from duality_bench.discrete import DiscreteFactor
 from duality_bench.errors import ModelError
-from duality_bench.gaussian import GaussianFactor, GaussianTarget, kl_divergence
+from duality_bench.gaussian import GaussianFactor
 from duality_bench.quadrature import GridFactor, trapezoid_weights
 
 __all__ = [
@@ -49,9 +53,8 @@ class CaviConfig:
 
     Convergence is declared when the largest per-cycle factor change (sup
     norm over parameters or table values) drops below ``tolerance``.
-    ``path`` picks the update mechanism: "auto" uses the analytic route for
-    Gaussian targets and exact summation for discrete ones; "grid" forces the
-    tabulated route.
+    ``path`` picks the update mechanism: "auto" uses the target's closed-form
+    update where it has one; "grid" forces the tabulated route.
     """
 
     max_cycles: int = 200
@@ -106,10 +109,6 @@ def factor_change(old, new) -> float:
     raise TypeError(f"cannot compare factors of types {type(old)} and {type(new)}")
 
 
-def _complement_means(factors, i: int) -> np.ndarray:
-    return np.concatenate([f.mean for j, f in enumerate(factors) if j != i])
-
-
 def _grid_update(model: TargetModel, factors, i: int) -> GridFactor:
     """Tabulated Lemma update: exp of E_complement[log joint], renormalized.
 
@@ -139,7 +138,6 @@ def _grid_update(model: TargetModel, factors, i: int) -> GridFactor:
         axis=1,
     )
     x = grids[i]
-    log_density = getattr(model, "log_density", None)
     expected = np.empty(x.size)
     chunk = max(1, MAX_GRID_CELLS // max(1, comp_points.shape[0]))
     offsets = [dec.block_offsets[j] for j in comp_blocks]
@@ -150,10 +148,7 @@ def _grid_update(model: TargetModel, factors, i: int) -> GridFactor:
         tiled = np.tile(comp_points, (xs.size, 1))
         for col, off in enumerate(offsets):
             pts[:, off] = tiled[:, col]
-        if log_density is not None:
-            lj = np.asarray(log_density(pts), dtype=float)
-        else:
-            lj = np.array([model.log_unnormalized_posterior(p) for p in pts])
+        lj = np.asarray(model.log_density(pts), dtype=float)
         lj = lj.reshape(xs.size, comp_points.shape[0])
         if np.any(np.isneginf(lj) & (comp_w > 0)[None, :]):
             raise ModelError(
@@ -172,46 +167,25 @@ def cavi_update(model: TargetModel, factors, i: int, path: str = "auto"):
     """
     model.decomposition.check_index(i)
     if path == "auto":
-        if isinstance(model, GaussianTarget) and all(
-            isinstance(f, GaussianFactor) for f in factors
-        ):
-            return model.cavi_update_factor(i, _complement_means(factors, i))
-        if isinstance(model, DiscreteTarget):
-            return model.cavi_update(factors, i)
+        update = model.cavi_update(factors, i)
+        if update is not None:
+            return update
         path = "grid"
     if path == "grid":
         return _grid_update(model, factors, i)
     raise ValueError(f"unknown path {path!r}")
 
 
-def _initial_factors(model: TargetModel, path: str, strategy: str) -> list:
-    """Resolve the initializer: exact marginals for analytic models, uniform
-    for discrete, standard-normal tables for the grid path ("default"), or an
-    explicitly named strategy."""
-    dec = model.decomposition
-    if path == "grid":
-        if strategy not in ("default", "standard_normal"):
-            raise ModelError(f"grid path has no {strategy!r} initializer")
-        factors = []
-        for i in range(dec.n_blocks):
-            g = model.block_grid(i)
-            factors.append(GridFactor(g, np.exp(-0.5 * g**2)))
-        return factors
-    if strategy == "default":
-        strategy = "uniform" if isinstance(model, DiscreteTarget) else "marginals"
-    if strategy == "marginals":
-        if not model.has_analytic_marginals:
-            raise ModelError("marginal initializer needs analytic marginals")
-        return [model.marginal(i) for i in range(dec.n_blocks)]
-    if strategy == "uniform":
-        if not isinstance(model, DiscreteTarget):
-            raise ModelError("uniform initializer is only defined for discrete models")
-        return [DiscreteFactor(np.full(n, 1.0 / n)) for n in model.support_sizes]
-    if strategy == "standard_normal":
-        if not isinstance(model, GaussianTarget):
-            raise ModelError("standard_normal initializer needs a Gaussian model")
-        return [GaussianFactor(np.zeros(d), np.eye(d)) for d in dec.block_dims]
-    raise ModelError(f"unknown init strategy {strategy!r}")
+def _grid_factors(model: TargetModel, strategy: str) -> list:
+    """Standard-normal tables on the block measures' nodes (the grid path's
+    only initializer)."""
+    if strategy not in ("default", "standard_normal"):
+        raise ModelError(f"grid path has no {strategy!r} initializer")
+    factors = []
+    for i in range(model.decomposition.n_blocks):
+        g = model.block_measure(i)[0]
+        factors.append(GridFactor(g, np.exp(-0.5 * g**2)))
+    return factors
 
 
 def run_cavi(model: TargetModel, config: CaviConfig,
@@ -225,10 +199,9 @@ def run_cavi(model: TargetModel, config: CaviConfig,
     if init_factors is not None:
         factors = list(init_factors)
     else:
-        path = config.path
-        if path == "auto" and not isinstance(model, (GaussianTarget, DiscreteTarget)):
-            path = "grid"
-        factors = _initial_factors(model, path, config.init)
+        factors = None if config.path == "grid" else model.initial_factors(config.init)
+        if factors is None:
+            factors = _grid_factors(model, config.init)
     history: list[float] = []
     track_objective = model.log_evidence is not None
     if track_objective:
@@ -265,35 +238,13 @@ def run_cavi(model: TargetModel, config: CaviConfig,
 def kl_objective(model: TargetModel, factors) -> float:
     """KL(product of factors || posterior), >= 0.
 
-    Closed form for Gaussian targets with Gaussian factors, exact summation
-    for discrete targets, tensor trapezoid quadrature for grid factors
-    (K <= 2, 1-D blocks). Needs a normalized target (known evidence).
+    Tensor trapezoid quadrature for grid factors (K <= 2, 1-D blocks), the
+    target's closed form (``TargetModel.product_kl``) otherwise. Needs a
+    normalized target (known evidence).
     """
     factors = list(factors)
     if model.log_evidence is None:
         raise ModelError("objective requires normalized target (unknown evidence)")
-    if isinstance(model, GaussianTarget) and all(
-        isinstance(f, GaussianFactor) for f in factors
-    ):
-        mean = np.concatenate([f.mean for f in factors])
-        cov = np.zeros((mean.size, mean.size))
-        at = 0
-        for f in factors:
-            d = f.dim
-            cov[at:at + d, at:at + d] = f.covariance
-            at += d
-        return kl_divergence(GaussianFactor(mean, cov),
-                             GaussianFactor(model.mean, model.covariance))
-    if isinstance(model, DiscreteTarget) and all(
-        isinstance(f, DiscreteFactor) for f in factors
-    ):
-        q = factors[0].pmf
-        for f in factors[1:]:
-            q = np.multiply.outer(q, f.pmf)
-        log_pi = _safe_log(model.joint_pmf)
-        if np.any((q > 0) & np.isneginf(log_pi)):
-            return float(np.inf)
-        return float(np.sum(_xlogy(q, _safe_log(q) - log_pi)))
     if all(isinstance(f, GridFactor) for f in factors):
         if len(factors) != 2:
             raise ModelError("grid objective implemented for K = 2 only")
@@ -305,16 +256,12 @@ def kl_objective(model: TargetModel, factors) -> float:
         pts = np.stack(
             [m.reshape(-1) for m in np.meshgrid(g1, g2, indexing="ij")], axis=1
         )
-        log_density = getattr(model, "log_density", None)
-        if log_density is not None:
-            log_pi = np.asarray(log_density(pts), dtype=float)
-        else:
-            log_pi = np.array([model.log_unnormalized_posterior(p) for p in pts])
+        log_pi = np.asarray(model.log_density(pts), dtype=float)
         log_pi = log_pi.reshape(g1.size, g2.size) - model.log_evidence
         log_q = factors[0].log_values[:, None] + factors[1].log_values[None, :]
         integrand = np.where(w > 0, log_q - log_pi, 0.0)
         return float(np.sum(w * integrand))
-    raise ModelError("unsupported model/factor combination for the KL objective")
+    return model.product_kl(factors)
 
 
 # --- JSON forms (converged-state export / import) ---------------------------

@@ -154,6 +154,11 @@ def _load_state_file(path: str):
 def cmd_diagnose(args) -> int:
     cfg = load_config(args.config)
     model = cfg.build_model()
+    for i in range(model.decomposition.n_blocks):
+        try:
+            model.block_measure(i)   # the report works on every block's measure
+        except ModelError as exc:
+            raise ConfigError(f"model.block_dims: {exc}") from exc
     gibbs_cfg = cfg.gibbs_config(seed_override=args.seed)
     traces = run_chains(model, gibbs_cfg, args.parallel_chains)
     trace = pooled_trace(traces)

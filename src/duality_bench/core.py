@@ -3,8 +3,26 @@
 A parameter vector theta is a flat float64 array of length ``total_dim``,
 partitioned into K >= 2 contiguous blocks. Matrix-valued blocks are expected
 to be row-major flattened by the caller; only flat vectors appear in this API.
+
 Everything downstream (Gibbs, CAVI, diagnostics) is written against
-:class:`TargetModel`.
+:class:`TargetModel` and never asks which family it runs. A family supplies
+the densities the duality checks are stated over, each as one primitive:
+
+- ``block_measure``: nodes and weights for one block (trapezoid weights on a
+  continuous block, the counting measure on a discrete one);
+- ``marginal`` and ``log_marginals``: the block marginal as a factor, and
+  log pi_i and log pi_-i at the rows of a sample array;
+- ``expected_log_conditional``: E over the complement factors of the log
+  full conditional, on the block measure;
+- ``product_kl``: KL from a product of block factors to the target's
+  marginal on those blocks;
+- ``block_kl_terms`` and ``information_equality``: the per-block KL bound
+  and the information quantities, each by the family's own route;
+- ``cavi_update`` and ``initial_factors``: closed-form coordinate updates
+  and starting factors, or None where the family has none (the CAVI engine
+  then tabulates on the block grids);
+- ``random_factor``, ``reference_point`` and ``echo``: candidate factors,
+  the default complement point and the report's model description.
 
 All types are immutable values after construction and safe to share across
 threads; model evaluations must be pure.
@@ -14,23 +32,18 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Protocol, runtime_checkable
 
 import numpy as np
 
+from duality_bench.errors import ModelError
+from duality_bench.quadrature import GRID_POINTS_1D
+
 __all__ = [
     "BlockDecomposition",
-    "BlockView",
-    "ConditionalDensity",
+    "InfoEquality",
     "TargetModel",
     "make_decomposition",
 ]
-
-
-def _frozen_array(values, dtype=float) -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
-    arr.setflags(write=False)
-    return arr
 
 
 @dataclass(frozen=True)
@@ -85,69 +98,47 @@ class BlockDecomposition:
         s = self.block_slice(i)
         return np.concatenate([np.arange(0, s.start), np.arange(s.stop, self.total_dim)])
 
-    def split(self, theta, i: int) -> "BlockView":
-        theta = self.check_vector(theta)
-        s = self.block_slice(i)
-        return BlockView(
-            block_index=i,
-            values=_frozen_array(theta[s]),
-            complement_values=_frozen_array(theta[self.complement_indices(i)]),
-        )
-
-    def substitute(self, theta, i: int, new_block) -> np.ndarray:
-        """Return a copy of theta with block i replaced; other blocks untouched."""
-        theta = self.check_vector(theta)
-        new_block = np.asarray(new_block, dtype=float).reshape(-1)
-        if new_block.shape != (self.block_dims[i],):
-            raise ValueError(
-                f"block {i} has dim {self.block_dims[i]}, got values of shape {new_block.shape}"
-            )
-        out = theta.copy()
-        out[self.block_slice(i)] = new_block
-        return out
-
-    def assemble(self, i: int, block_values, complement_values) -> np.ndarray:
-        """Inverse of :meth:`split`: interleave a block with its complement."""
-        block_values = np.asarray(block_values, dtype=float).reshape(-1)
-        complement_values = np.asarray(complement_values, dtype=float).reshape(-1)
-        if block_values.shape != (self.block_dims[i],):
-            raise ValueError("block values have wrong dimension")
-        if complement_values.shape != (self.total_dim - self.block_dims[i],):
-            raise ValueError("complement values have wrong dimension")
-        out = np.empty(self.total_dim)
-        out[self.block_slice(i)] = block_values
-        out[self.complement_indices(i)] = complement_values
-        return out
-
-
-@dataclass(frozen=True)
-class BlockView:
-    """One block of a parameter vector plus the remaining entries in block order."""
-
-    block_index: int
-    values: np.ndarray
-    complement_values: np.ndarray
-
 
 def make_decomposition(block_dims) -> BlockDecomposition:
     """Build a :class:`BlockDecomposition` from a list of positive block dims."""
     return BlockDecomposition(block_dims=tuple(block_dims))
 
 
-@runtime_checkable
-class ConditionalDensity(Protocol):
-    """A normalized density on one block: evaluatable and sampleable."""
+@dataclass(frozen=True)
+class InfoEquality:
+    """Mutual information and the entropies entering the two equalities.
 
-    def log_density(self, x) -> float | np.ndarray: ...
+    Each quantity is computed by its own route (quadrature tensor grid,
+    1-D quadrature, exact summation, or its own closed form) - never derived
+    from the others - so the residuals are genuine consistency checks.
+    """
 
-    def sample(self, rng: np.random.Generator) -> np.ndarray: ...
+    mutual_information: float
+    complement_entropy: float
+    conditional_entropy: float
+    block_entropy: float
+    conditional_block_entropy: float
+    method: str
+
+    @property
+    def residual(self) -> float:
+        return abs(self.mutual_information
+                   - (self.complement_entropy - self.conditional_entropy))
+
+    @property
+    def symmetric_residual(self) -> float:
+        return abs(self.mutual_information
+                   - (self.block_entropy - self.conditional_block_entropy))
 
 
 class TargetModel(ABC):
     """Evaluatable joint/posterior density with per-block full conditionals.
 
     Implementations must be immutable and their evaluations pure, so shared
-    read-only use from multiple threads is safe.
+    read-only use from multiple threads is safe. Only the abstract members
+    are needed for Gibbs sampling and grid-tabulated CAVI; the diagnostics
+    need the closed-form primitives below, which raise :class:`ModelError`
+    on a family that has none.
     """
 
     @property
@@ -171,29 +162,90 @@ class TargetModel(ABC):
     def log_unnormalized_posterior(self, theta) -> float:
         """Finite on the declared support."""
 
-    @abstractmethod
-    def full_conditional(self, i: int, complement_values) -> ConditionalDensity:
-        """Normalized density of block i given the other blocks."""
+    def log_density(self, theta):
+        """Log unnormalized posterior at a point (D,) or at each row of (n, D)."""
+        theta = np.asarray(theta, dtype=float)
+        if theta.ndim == 1:
+            return self.log_unnormalized_posterior(theta)
+        return np.array([self.log_unnormalized_posterior(p) for p in theta])
 
     @abstractmethod
-    def block_grid(self, i: int) -> np.ndarray:
-        """Declared support grid for block i.
+    def full_conditional(self, i: int, complement_values):
+        """Normalized density of block i given the other blocks: a factor with
+        ``log_density`` and ``sample(rng)``."""
 
-        Continuous models return quadrature nodes covering the block's mass;
-        discrete models return the integer support. Only defined for 1-D blocks.
+    @abstractmethod
+    def block_measure(self, i: int, points: int = GRID_POINTS_1D) -> tuple[np.ndarray, np.ndarray]:
+        """Nodes and weights of the measure on block i (1-D blocks only).
+
+        Continuous models return ``points`` quadrature nodes covering the
+        block's mass with trapezoid weights; discrete models return the
+        integer support with unit weights. Raises :class:`ModelError` for a
+        block on which no measure is defined.
         """
 
     def conditional_normalization(self, i: int, complement_values) -> float:
-        """Mass of exp(log_density) of the full conditional on the block grid.
+        """Mass of exp(log_density) of the full conditional on the block measure.
 
         Reference check backing the contract that full conditionals are
         normalized densities (== 1 within 1e-8).
         """
+        nodes, weights = self.block_measure(i)
         cond = self.full_conditional(i, complement_values)
-        grid = self.block_grid(i)
-        values = np.exp(np.asarray(cond.log_density(grid.reshape(-1, 1))))
-        if self.is_discrete:
-            return float(np.sum(values))
-        from duality_bench.quadrature import trapezoid_weights
+        values = np.exp(np.asarray(cond.log_density(nodes.reshape(-1, 1))))
+        return float(np.sum(weights * values))
 
-        return float(np.sum(trapezoid_weights(grid) * values))
+    # --- closed-form primitives ---------------------------------------------
+
+    def _no_closed_form(self, what: str) -> ModelError:
+        return ModelError(f"{type(self).__name__} has no closed form for {what}")
+
+    def marginal(self, i: int):
+        """Marginal density of block i, as a factor of the family."""
+        raise self._no_closed_form("block marginals")
+
+    def log_marginals(self, i: int, samples) -> tuple[np.ndarray, np.ndarray]:
+        """log pi(theta_i) and log pi(theta_-i) at each row of an (n, D) array."""
+        raise self._no_closed_form("block marginals")
+
+    def expected_log_conditional(self, factors, i: int) -> np.ndarray:
+        """E over the factors of the other blocks of log pi(theta_i = x | theta_-i),
+        for x at the nodes of ``block_measure(i)``."""
+        raise self._no_closed_form("expected log full conditionals")
+
+    def product_kl(self, factors, i: int | None = None) -> float:
+        """KL(prod_j q_j || pi) over all blocks, or over the blocks j != i
+        against the complement marginal pi(theta_-i). +inf where the product
+        puts mass outside the marginal's support."""
+        raise self._no_closed_form("the KL from a factor product")
+
+    def block_kl_terms(self, factor, i: int) -> tuple[float, float]:
+        """(raw, kl) for a factor q_i of block i: raw is log int exp
+        E_{q_i}[log pi(theta_-i | theta_i)] d theta_-i and kl is KL(q_i || pi_i)."""
+        raise self._no_closed_form("the block KL bound")
+
+    def information_equality(self, i: int, method: str = "auto") -> InfoEquality:
+        """I(theta_i; theta_-i) and the four entropies, each computed independently."""
+        raise self._no_closed_form("the information equalities")
+
+    def cavi_update(self, factors, i: int):
+        """Closed-form coordinate update of factor i, or None when the family
+        has none for these factors."""
+        return None
+
+    def initial_factors(self, strategy: str) -> list | None:
+        """Starting factors for the named CAVI strategy, or None when the
+        family has no closed-form factors."""
+        return None
+
+    def random_factor(self, i: int, rng: np.random.Generator):
+        """A random candidate density for block i."""
+        raise self._no_closed_form("candidate factors")
+
+    def reference_point(self) -> np.ndarray:
+        """Default parameter vector whose complements the functional is probed at."""
+        raise self._no_closed_form("a reference point")
+
+    def echo(self) -> dict:
+        """JSON-ready description of the model for reports."""
+        raise self._no_closed_form("a model echo")

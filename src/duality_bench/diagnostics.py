@@ -28,22 +28,12 @@ import numpy as np
 from scipy.special import logsumexp
 
 from duality_bench.cavi import MeanFieldState
-from duality_bench.core import TargetModel
-from duality_bench.discrete import DiscreteFactor, DiscreteTarget, _safe_log, _xlogy
+from duality_bench.core import InfoEquality, TargetModel
+from duality_bench.discrete import DiscreteFactor, _safe_log
 from duality_bench.errors import ModelError, SupportError
-from duality_bench.gaussian import GaussianFactor, GaussianTarget, kl_divergence
-from duality_bench.gaussian import entropy as gaussian_entropy
-from duality_bench.gaussian import mutual_information as gaussian_mi
+from duality_bench.gaussian import GaussianFactor
 from duality_bench.gibbs import ChainTrace, Estimate, estimate, make_rng
-from duality_bench.quadrature import (
-    GRID_POINTS_1D,
-    GRID_POINTS_2D,
-    GridFactor,
-    gaussian_grid,
-    log_integral,
-    tensor_weights,
-    trapezoid_weights,
-)
+from duality_bench.quadrature import GRID_POINTS_1D, GridFactor, log_integral, trapezoid_weights
 
 __all__ = [
     "DualityProblem",
@@ -74,6 +64,7 @@ INFO_TOL_DISCRETE = 1e-12
 SQUASH_TOL = 1e-10
 RAW_BOUND_TOL = 1e-10
 DISTANT_TV = 1e-4
+SQUASH_GRID_POINTS = 1001
 
 
 # --------------------------------------------------------------------------
@@ -279,40 +270,20 @@ class _FunctionalWorkspace:
         dec.check_index(i)
         self.model = model
         self.i = i
-        if isinstance(model, DiscreteTarget):
-            self.discrete = True
-            n_i = model.support_sizes[i]
-            self.grid = np.arange(n_i, dtype=float)
-            self.weights = np.ones(n_i)
-            self.log_marginal = _safe_log(model.marginal(i).pmf)
-            cflat = model._complement_flat_index(i, complement_value)
-            rows = np.moveaxis(model.joint_pmf, i, -1).reshape(-1, n_i)
-            with np.errstate(invalid="ignore"):
-                # -inf at zero-marginal points; those fail the support check
-                self.log_cond_at_c = np.where(
-                    self.log_marginal > -np.inf,
-                    _safe_log(rows[cflat]) - self.log_marginal, -np.inf)
-            self.log_bound = float(_safe_log(
-                np.asarray([model.complement_marginal(i).pmf[cflat]]))[0])
-            self.conditional_values = self._renormalize(
-                model.full_conditional(i, complement_value).pmf)
-        else:
-            self.discrete = False
-            self.grid = model.block_grid(i)
-            self.weights = trapezoid_weights(self.grid)
-            c = np.asarray(complement_value, dtype=float).reshape(-1)
-            points = np.empty((self.grid.size, dec.total_dim))
-            points[:, dec.block_slice(i)] = self.grid.reshape(-1, 1)
-            points[:, dec.complement_indices(i)] = c
-            log_joint = np.asarray(model.log_density(points))
-            marg = model.marginal(i)
-            self.log_marginal = np.asarray(marg.log_density(self.grid.reshape(-1, 1)))
-            self.log_cond_at_c = log_joint - self.log_marginal
-            self.log_bound = float(
-                model.complement_marginal(i).log_density(c.reshape(1, -1))[0])
-            cond = model.full_conditional(i, c)
-            self.conditional_values = self._renormalize(
-                np.exp(np.asarray(cond.log_density(self.grid.reshape(-1, 1)))))
+        self.grid, self.weights = model.block_measure(i)
+        c = np.asarray(complement_value, dtype=float).reshape(-1)
+        points = np.empty((self.grid.size, dec.total_dim))
+        points[:, dec.block_slice(i)] = self.grid.reshape(-1, 1)
+        points[:, dec.complement_indices(i)] = c
+        log_joint = np.asarray(model.log_density(points))
+        self.log_marginal = model.log_marginals(i, points)[0]
+        # the bound depends on c alone: evaluate it at a single row
+        self.log_bound = float(model.log_marginals(i, points[:1])[1][0])
+        with np.errstate(invalid="ignore"):
+            # -inf at zero-marginal points; those fail the support check
+            self.log_cond_at_c = np.where(
+                self.log_marginal > -np.inf, log_joint - self.log_marginal, -np.inf)
+        self.conditional_values = self.density_values(model.full_conditional(i, c))
 
     def _renormalize(self, values: np.ndarray) -> np.ndarray:
         values = np.asarray(values, dtype=float)
@@ -324,16 +295,11 @@ class _FunctionalWorkspace:
     def density_values(self, q) -> np.ndarray:
         if isinstance(q, np.ndarray):
             return self._renormalize(q)
-        if isinstance(q, DiscreteFactor):
-            return self._renormalize(q.pmf)
         if isinstance(q, GridFactor):
             if not np.array_equal(q.grid, self.grid):
                 raise ValueError("grid factor lives on a different grid")
             return q.values
-        if isinstance(q, GaussianFactor):
-            return self._renormalize(
-                np.exp(np.asarray(q.log_density(self.grid.reshape(-1, 1)))))
-        raise TypeError(f"unsupported candidate type {type(q)}")
+        return self._renormalize(_density_at(q, self.grid))
 
     def value(self, q_values: np.ndarray) -> float:
         mass = self.weights * q_values
@@ -349,6 +315,14 @@ class _FunctionalWorkspace:
     def tv_from_conditional(self, q_values: np.ndarray) -> float:
         return 0.5 * float(np.sum(self.weights * np.abs(
             q_values - self.conditional_values)))
+
+
+def _density_at(density, nodes: np.ndarray) -> np.ndarray:
+    """Values of a block density at the block measure's nodes: a pmf as
+    stored, any other factor as exp of its log density."""
+    if isinstance(density, DiscreteFactor):
+        return density.pmf
+    return np.exp(np.asarray(density.log_density(nodes.reshape(-1, 1))))
 
 
 def duality_functional(model: TargetModel, i: int, complement_value, q) -> float:
@@ -378,94 +352,12 @@ def concavity_probe(model: TargetModel, i: int, complement_value, p, q,
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class InfoEquality:
-    """Mutual information and the entropies entering the two equalities.
-
-    Each quantity is computed by its own route (quadrature tensor grid,
-    1-D quadrature, exact summation, or its own closed form) - never derived
-    from the others - so the residuals are genuine consistency checks.
-    """
-
-    mutual_information: float
-    complement_entropy: float
-    conditional_entropy: float
-    block_entropy: float
-    conditional_block_entropy: float
-    method: str
-
-    @property
-    def residual(self) -> float:
-        return abs(self.mutual_information
-                   - (self.complement_entropy - self.conditional_entropy))
-
-    @property
-    def symmetric_residual(self) -> float:
-        return abs(self.mutual_information
-                   - (self.block_entropy - self.conditional_block_entropy))
-
-
-def _gaussian_info_quadrature(model: GaussianTarget, i: int) -> InfoEquality:
-    dec = model.decomposition
-    g1 = gaussian_grid(model.mean[0], np.sqrt(model.covariance[0, 0]), GRID_POINTS_2D)
-    g2 = gaussian_grid(model.mean[1], np.sqrt(model.covariance[1, 1]), GRID_POINTS_2D)
-    grids = (g1, g2) if i == 0 else (g2, g1)
-    w2 = tensor_weights(*grids)
-    pts = np.stack([m.reshape(-1) for m in np.meshgrid(*grids, indexing="ij")], axis=1)
-    if i == 1:
-        pts = pts[:, ::-1]
-    log_joint = np.asarray(model.log_density(pts)).reshape(w2.shape)
-    x_i, x_c = grids
-    log_m_i = np.asarray(model.marginal(i).log_density(x_i.reshape(-1, 1)))
-    log_m_c = np.asarray(model.complement_marginal(i).log_density(x_c.reshape(-1, 1)))
-    joint = np.exp(log_joint)
-    mi = float(np.sum(w2 * joint * (log_joint - log_m_i[:, None] - log_m_c[None, :])))
-    w_c = trapezoid_weights(x_c)
-    h_c = -float(np.sum(w_c * np.exp(log_m_c) * log_m_c))
-    h_cond = -float(np.sum(w2 * joint * (log_joint - log_m_i[:, None])))
-    w_i = trapezoid_weights(x_i)
-    h_i = -float(np.sum(w_i * np.exp(log_m_i) * log_m_i))
-    h_cond_i = -float(np.sum(w2 * joint * (log_joint - log_m_c[None, :])))
-    return InfoEquality(mi, h_c, h_cond, h_i, h_cond_i, method="quadrature")
-
-
-def _gaussian_info_closed_form(model: GaussianTarget, i: int) -> InfoEquality:
-    dec = model.decomposition
-    mi = gaussian_mi(model, i)
-    h_c = gaussian_entropy(model.complement_marginal(i))
-    h_i = gaussian_entropy(model.marginal(i))
-    # conditional entropies from the Schur-complement covariances
-    h_cond = model.conditional_complement(i, model.mean[dec.block_slice(i)]).entropy()
-    h_cond_i = model.full_conditional(i, model.mean[dec.complement_indices(i)]).entropy()
-    return InfoEquality(mi, h_c, h_cond, h_i, h_cond_i, method="closed_form")
-
-
 def information_equality_check(model: TargetModel, i: int,
                                method: str = "auto") -> InfoEquality:
     """I(theta_i; theta_-i), H(theta_-i), H(theta_-i | theta_i) (and the
     symmetric pair), computed independently, for the equality residuals."""
     model.decomposition.check_index(i)
-    if isinstance(model, DiscreteTarget):
-        return InfoEquality(
-            mutual_information=model.mutual_information(i),
-            complement_entropy=model.complement_entropy(i),
-            conditional_entropy=model.conditional_entropy_complement(i),
-            block_entropy=model.block_entropy(i),
-            conditional_block_entropy=model.conditional_entropy_block(i),
-            method="enumeration",
-        )
-    if not isinstance(model, GaussianTarget):
-        raise ModelError("information equalities need an analytic or discrete model")
-    can_quadrature = model.decomposition.total_dim == 2
-    if method == "auto":
-        method = "quadrature" if can_quadrature else "closed_form"
-    if method == "quadrature":
-        if not can_quadrature:
-            raise ModelError("quadrature route needs two 1-D blocks")
-        return _gaussian_info_quadrature(model, i)
-    if method == "closed_form":
-        return _gaussian_info_closed_form(model, i)
-    raise ValueError(f"unknown method {method!r}")
+    return model.information_equality(i, method)
 
 
 def info_monte_carlo(model: TargetModel, trace: ChainTrace, i: int) -> dict[str, Estimate]:
@@ -474,18 +366,8 @@ def info_monte_carlo(model: TargetModel, trace: ChainTrace, i: int) -> dict[str,
     dec = model.decomposition
     if trace.samples.shape[1] != dec.total_dim:
         raise ModelError("trace and model disagree on the parameter dimension")
-    bs = dec.block_slice(i)
-    ci = dec.complement_indices(i)
-    samples = trace.samples
-    log_joint = np.asarray(model.log_density(samples))
-    if isinstance(model, DiscreteTarget):
-        log_m_i = np.asarray(
-            model.marginal(i).log_density(samples[:, bs].reshape(-1).astype(int)))
-        comp_flat = np.array([model._complement_flat_index(i, row) for row in samples[:, ci]])
-        log_m_c = _safe_log(model.complement_marginal(i).pmf)[comp_flat]
-    else:
-        log_m_i = np.asarray(model.marginal(i).log_density(samples[:, bs]))
-        log_m_c = np.asarray(model.complement_marginal(i).log_density(samples[:, ci]))
+    log_joint = np.asarray(model.log_density(trace.samples))
+    log_m_i, log_m_c = model.log_marginals(i, trace.samples)
     mi_values = log_joint - log_m_i - log_m_c
     h_c_values = -log_m_c
     h_cond_values = -(log_joint - log_m_i)
@@ -501,67 +383,21 @@ def info_monte_carlo(model: TargetModel, trace: ChainTrace, i: int) -> dict[str,
 # --------------------------------------------------------------------------
 
 
-def _expected_log_conditional_discrete(model: DiscreteTarget, factors, i: int) -> np.ndarray:
-    """E over the complement factor product of log pi(theta_i | theta_-i)."""
-    w = model.complement_factor_weights(factors, i)
-    n_i = model.support_sizes[i]
-    rows = np.moveaxis(model.joint_pmf, i, -1).reshape(-1, n_i)
-    mass = rows.sum(axis=1)
-    active = w > 0
-    if np.any(active & (mass <= 0)):
-        raise ModelError("complement factor puts mass on a zero-mass conditioning event")
-    if np.any(rows[active] <= 0):
-        raise ModelError(
-            f"block {i}: zero conditional under positive complement mass"
-        )
-    log_cond = _safe_log(rows[active]) - _safe_log(mass[active])[:, None]
-    return w[active] @ log_cond
-
-
-def _complement_product_factor(factors, i: int) -> GaussianFactor:
-    means, covs = [], []
-    for j, f in enumerate(factors):
-        if j == i:
-            continue
-        means.append(f.mean)
-        covs.append(f.covariance)
-    mean = np.concatenate(means)
-    cov = np.zeros((mean.size, mean.size))
-    at = 0
-    for c in covs:
-        d = c.shape[0]
-        cov[at:at + d, at:at + d] = c
-        at += d
-    return GaussianFactor(mean, cov)
-
-
 def squashing_constant(model: TargetModel, state: MeanFieldState, i: int) -> float:
     """R = int exp E_{q(theta_-i)}[log pi(theta_i|theta_-i,y)] d theta_i
     / exp KL(q(theta_-i) || pi(theta_-i|y)); lies in (0, 1] for any
     complement density dominated by the complement marginal.
 
-    Numerator via quadrature/summation with log-sum-exp, denominator via the
+    Numerator on the block measure with log-sum-exp, denominator via the
     closed-form/enumerated KL.
     """
     model.decomposition.check_index(i)
-    factors = state.factors
-    if isinstance(model, DiscreteTarget):
-        expected = _expected_log_conditional_discrete(model, factors, i)
-        log_num = float(logsumexp(expected))
-        w = model.complement_factor_weights(factors, i)
-        marg_c = model.complement_marginal(i).pmf
-        if np.any((w > 0) & (marg_c <= 0)):
-            raise SupportError("complement factor mass outside the complement marginal")
-        kl_c = float(np.sum(_xlogy(w, _safe_log(w) - _safe_log(marg_c))))
-    elif isinstance(model, GaussianTarget):
-        q_c = _complement_product_factor(factors, i)
-        grid = model.block_grid(i)
-        expected = model.expected_log_full_conditional(
-            i, grid, q_c.mean, q_c.covariance)
-        log_num = log_integral(expected, grid)
-        kl_c = kl_divergence(q_c, model.complement_marginal(i))
-    else:
-        raise ModelError("squashing constant needs a Gaussian or discrete model")
+    weights = model.block_measure(i)[1]
+    expected = model.expected_log_conditional(state.factors, i)
+    log_num = float(logsumexp(expected + np.log(weights)))
+    kl_c = model.product_kl(state.factors, i)
+    if not np.isfinite(kl_c):
+        raise SupportError("complement factor mass outside the complement marginal")
     return float(np.exp(log_num - kl_c))
 
 
@@ -569,25 +405,18 @@ def squash_pointwise_check(model: TargetModel, state: MeanFieldState, i: int,
                            grid=None) -> float:
     """min over the grid of pi(theta_i|y) - R * q*(theta_i); >= -1e-10.
 
-    Pairs R with the stored factor i, which equals the coordinate update of
-    the complement at a converged state. A tampered factor (e.g. an inflated
+    The grid defaults to the nodes of a 1001-point block measure. Pairs R
+    with the stored factor i, which equals the coordinate update of the
+    complement at a converged state. A tampered factor (e.g. an inflated
     variance) genuinely violates the inequality and is reported here.
     """
     model.decomposition.check_index(i)
-    q_i = state.factors[i]
     r_value = squashing_constant(model, state, i)
-    if isinstance(model, DiscreteTarget):
-        if not isinstance(q_i, DiscreteFactor):
-            raise ModelError("discrete model needs discrete factors")
-        marg = model.marginal(i).pmf
-        return float(np.min(marg - r_value * q_i.pmf))
     if grid is None:
-        k = model.decomposition.block_offsets[i]
-        grid = gaussian_grid(model.mean[k], np.sqrt(model.covariance[k, k]), 1001)
+        grid = model.block_measure(i, SQUASH_GRID_POINTS)[0]
     grid = np.asarray(grid, dtype=float)
-    marg = np.exp(np.asarray(model.marginal(i).log_density(grid.reshape(-1, 1))))
-    q_values = np.exp(np.asarray(q_i.log_density(grid.reshape(-1, 1))))
-    return float(np.min(marg - r_value * q_values))
+    marg = _density_at(model.marginal(i), grid)
+    return float(np.min(marg - r_value * _density_at(state.factors[i], grid)))
 
 
 @dataclass(frozen=True)
@@ -605,42 +434,7 @@ class KlBound:
 
 def kl_lower_bound(model: TargetModel, state: MeanFieldState, i: int) -> KlBound:
     model.decomposition.check_index(i)
-    q_i = state.factors[i]
-    if isinstance(model, DiscreteTarget):
-        if not isinstance(q_i, DiscreteFactor):
-            raise ModelError("discrete model needs discrete factors")
-        n_i = model.support_sizes[i]
-        rows = np.moveaxis(model.joint_pmf, i, -1).reshape(-1, n_i)  # (c, x)
-        marg_i = model.marginal(i).pmf
-        log_cond_c = _safe_log(rows) - _safe_log(marg_i)[None, :]    # log pi(c|x)
-        mask = q_i.pmf > 0
-        if np.any(mask & (marg_i <= 0)):
-            raise SupportError("factor mass outside the block marginal support")
-        expected = log_cond_c[:, mask] @ q_i.pmf[mask]
-        finite = np.isfinite(expected)
-        raw = float(logsumexp(expected[finite])) if np.any(finite) else -np.inf
-        kl = float(np.sum(_xlogy(q_i.pmf, _safe_log(q_i.pmf) - _safe_log(marg_i))))
-    elif isinstance(model, GaussianTarget):
-        if not isinstance(q_i, GaussianFactor):
-            raise ModelError("Gaussian model needs Gaussian factors")
-        dec = model.decomposition
-        comp_dim = dec.total_dim - dec.block_dims[i]
-        if comp_dim == 1:
-            cm = model.complement_marginal(i)
-            grid = gaussian_grid(float(cm.mean[0]),
-                                 float(np.sqrt(cm.covariance[0, 0])), GRID_POINTS_1D)
-            expected = model.expected_log_complement_conditional(
-                i, grid, q_i.mean, q_i.covariance)
-            raw = log_integral(expected, grid)
-        else:
-            # exp E[log pi(c|theta_i)] is an unnormalized Gaussian in c whose
-            # total mass is exp(-penalty); integrate analytically.
-            blk = model._blocks[i]
-            b_mat = blk["lam_ic"] @ blk["cov_c"] @ blk["lam_ic"].T
-            raw = -0.5 * float(np.sum(b_mat * q_i.covariance))
-        kl = kl_divergence(q_i, model.marginal(i))
-    else:
-        raise ModelError("KL lower bound needs a Gaussian or discrete model")
+    raw, kl = model.block_kl_terms(state.factors[i], i)
     return KlBound(raw_log_value=raw, bound=max(0.0, raw), kl=kl)
 
 
@@ -653,7 +447,7 @@ def kl_lower_bound(model: TargetModel, state: MeanFieldState, i: int) -> KlBound
 class ReportOptions:
     """Knobs for the aggregated diagnostics run (all defaults spec-level)."""
 
-    squash_grid_points: int = 1001
+    squash_grid_points: int = SQUASH_GRID_POINTS
     f_candidates: int = 50
     concavity_mixtures: int = 100
     suite_seed: int = 0
@@ -745,21 +539,6 @@ class DiagnosticsReport:
         return rows
 
 
-def _random_candidate(model, i, rng) -> object:
-    if isinstance(model, DiscreteTarget):
-        return DiscreteFactor(rng.dirichlet(np.ones(model.support_sizes[i])))
-    return GaussianFactor([rng.uniform(-2, 2)], [[rng.uniform(0.25, 4)]])
-
-
-def _reference_point(model: TargetModel, options: ReportOptions) -> np.ndarray:
-    if options.reference_point is not None:
-        return model.decomposition.check_vector(options.reference_point)
-    if isinstance(model, DiscreteTarget):
-        flat = int(np.argmax(model.joint_pmf))
-        return np.asarray(np.unravel_index(flat, model.support_sizes), dtype=float)
-    return np.asarray(model.mean, dtype=float)
-
-
 def build_report(model: TargetModel, trace: ChainTrace, state: MeanFieldState,
                  options: ReportOptions | None = None) -> DiagnosticsReport:
     """Run every per-block diagnostic and collect named pass/fail checks.
@@ -776,7 +555,10 @@ def build_report(model: TargetModel, trace: ChainTrace, state: MeanFieldState,
         raise ModelError("state does not match the model decomposition")
     info_tol = INFO_TOL_DISCRETE if model.is_discrete else INFO_TOL_CONTINUOUS
     rng = make_rng(options.suite_seed)
-    reference = _reference_point(model, options)
+    if options.reference_point is not None:
+        reference = dec.check_vector(options.reference_point)
+    else:
+        reference = model.reference_point()
     blocks: list[BlockDiagnostics] = []
     failures: list[str] = []
     for i in range(dec.n_blocks):
@@ -788,15 +570,15 @@ def build_report(model: TargetModel, trace: ChainTrace, state: MeanFieldState,
         max_excess = -np.inf
         min_distant_gap = np.inf
         for _ in range(options.f_candidates):
-            qv = ws.density_values(_random_candidate(model, i, rng))
+            qv = ws.density_values(model.random_factor(i, rng))
             gap = ws.log_bound - ws.value(qv)
             max_excess = max(max_excess, -gap)
             if ws.tv_from_conditional(qv) > DISTANT_TV:
                 min_distant_gap = min(min_distant_gap, gap)
         min_slack = np.inf
         for _ in range(options.concavity_mixtures):
-            p_cand = _random_candidate(model, i, rng)
-            q_cand = _random_candidate(model, i, rng)
+            p_cand = model.random_factor(i, rng)
+            q_cand = model.random_factor(i, rng)
             a = float(rng.uniform(0, 1))
             min_slack = min(min_slack,
                             concavity_probe(model, i, c_ref, p_cand, q_cand, a))
@@ -804,13 +586,7 @@ def build_report(model: TargetModel, trace: ChainTrace, state: MeanFieldState,
         mc = info_monte_carlo(model, trace, i)
         r_value = squashing_constant(model, state, i)
         squash_slack = squash_pointwise_check(
-            model, state, i,
-            grid=None if model.is_discrete else gaussian_grid(
-                model.mean[dec.block_offsets[i]],
-                np.sqrt(model.covariance[dec.block_offsets[i], dec.block_offsets[i]]),
-                options.squash_grid_points,
-            ),
-        )
+            model, state, i, grid=model.block_measure(i, options.squash_grid_points)[0])
         bound = kl_lower_bound(model, state, i)
 
         def _mc_ok(est: Estimate, truth: float) -> bool:
@@ -867,20 +643,8 @@ def build_report(model: TargetModel, trace: ChainTrace, state: MeanFieldState,
             kl_lower_bound=float(bound.bound),
             checks=checks,
         ))
-    if isinstance(model, DiscreteTarget):
-        model_echo = {
-            "family": "discrete",
-            "support_sizes": list(model.support_sizes),
-        }
-    else:
-        model_echo = {
-            "family": "gaussian",
-            "block_dims": list(dec.block_dims),
-            "mean": model.mean.tolist(),
-            "covariance": model.covariance.tolist(),
-        }
     return DiagnosticsReport(
-        model_echo=model_echo,
+        model_echo=model.echo(),
         gibbs_echo={
             "seed": trace.seed,
             "n_cycles": trace.n_cycles,

@@ -17,9 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import logsumexp
 
-from duality_bench.core import BlockDecomposition, TargetModel
-from duality_bench.errors import ModelError, ZeroMassError
+from duality_bench.core import BlockDecomposition, InfoEquality, TargetModel
+from duality_bench.errors import ModelError, SupportError, ZeroMassError
+from duality_bench.quadrature import GRID_POINTS_1D
 
 __all__ = ["DiscreteFactor", "DiscreteTarget"]
 
@@ -39,6 +41,24 @@ def _xlogy(p: np.ndarray, logq: np.ndarray) -> np.ndarray:
 def _safe_log(p: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore"):
         return np.log(p)
+
+
+def _state_indices(values, shape) -> np.ndarray:
+    """Integer states of the rows of ``values`` in a table of ``shape``.
+
+    Raises ValueError unless each entry lies within 1e-9 of an integer inside
+    the support.
+    """
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 2 or values.shape[1] != len(shape):
+        raise ValueError(f"states must have {len(shape)} entries")
+    ints = np.round(values)
+    if not np.all(np.abs(values - ints) <= 1e-9):
+        raise ValueError("discrete states must be integer-valued")
+    outside = np.any((ints < 0) | (ints >= np.asarray(shape)), axis=1)
+    if np.any(outside):
+        raise ValueError(f"state {ints[outside][0].astype(int).tolist()} outside support {shape}")
+    return ints.astype(int)
 
 
 @dataclass(frozen=True)
@@ -158,15 +178,8 @@ class DiscreteTarget(TargetModel):
         return self._table
 
     def to_state(self, theta) -> tuple[int, ...]:
-        theta = np.asarray(theta, dtype=float).reshape(-1)
-        if theta.size != self._table.ndim:
-            raise ValueError(f"state must have {self._table.ndim} entries")
-        state = tuple(int(round(v)) for v in theta)
-        if any(abs(v - s) > 1e-9 for v, s in zip(theta, state)):
-            raise ValueError("discrete states must be integer-valued")
-        if any(not 0 <= s < n for s, n in zip(state, self._table.shape)):
-            raise ValueError(f"state {state} outside support {self._table.shape}")
-        return state
+        theta = np.asarray(theta, dtype=float).reshape(1, -1)
+        return tuple(_state_indices(theta, self._table.shape)[0].tolist())
 
     def log_unnormalized_posterior(self, theta) -> float:
         return float(_safe_log(np.asarray([self._table[self.to_state(theta)]]))[0])
@@ -175,26 +188,15 @@ class DiscreteTarget(TargetModel):
         theta = np.asarray(theta, dtype=float)
         if theta.ndim == 1:
             return self.log_unnormalized_posterior(theta)
-        idx = tuple(theta[:, j].astype(int) for j in range(theta.shape[1]))
-        return _safe_log(self._table[idx])
-
-    def _complement_flat_index(self, i: int, complement_values) -> int:
-        comp = np.asarray(complement_values, dtype=float).reshape(-1)
-        shape = tuple(n for j, n in enumerate(self._table.shape) if j != i)
-        if comp.size != len(shape):
-            raise ValueError(f"complement of block {i} needs {len(shape)} values")
-        ints = tuple(int(round(v)) for v in comp)
-        if any(abs(v - k) > 1e-9 for v, k in zip(comp, ints)):
-            raise ValueError("discrete complement values must be integers")
-        if any(not 0 <= k < n for k, n in zip(ints, shape)):
-            raise ValueError(f"complement state {ints} outside support {shape}")
-        return int(np.ravel_multi_index(ints, shape)) if shape else 0
+        return _safe_log(self._table[tuple(_state_indices(theta, self._table.shape).T)])
 
     def full_conditional(self, i: int, complement_values) -> DiscreteFactor:
         """Slice of the joint pmf renormalized over block i."""
         self._decomposition.check_index(i)
         c = self._cond[i]
-        flat = self._complement_flat_index(i, complement_values)
+        shape = self._complement_shape(i)
+        comp = _state_indices(np.asarray(complement_values, dtype=float).reshape(1, -1), shape)
+        flat = int(np.ravel_multi_index(comp.T, shape)[0])
         if c["mass"][flat] <= 0:
             raise ZeroMassError(
                 f"conditioning event for block {i} (complement state {complement_values}) "
@@ -202,9 +204,13 @@ class DiscreteTarget(TargetModel):
             )
         return DiscreteFactor._trusted(c["probs"][flat], c["cumsum"][flat])
 
-    def block_grid(self, i: int) -> np.ndarray:
-        self._decomposition.check_index(i)
-        return np.arange(self._table.shape[i], dtype=float)
+    def _complement_shape(self, i: int) -> tuple[int, ...]:
+        return tuple(n for j, n in enumerate(self._table.shape) if j != i)
+
+    def block_measure(self, i: int, points: int = GRID_POINTS_1D) -> tuple[np.ndarray, np.ndarray]:
+        """The counting measure on {0..n_i-1}; ``points`` does not apply."""
+        n = self._table.shape[self._decomposition.check_index(i)]
+        return np.arange(n, dtype=float), np.ones(n)
 
     # --- marginals, conditionals, information quantities --------------------
 
@@ -227,6 +233,13 @@ class DiscreteTarget(TargetModel):
         if mass <= 0:
             raise ZeroMassError(f"block {i} value {k} has zero marginal mass")
         return DiscreteFactor(slab.reshape(-1) / mass)
+
+    def log_marginals(self, i: int, samples) -> tuple[np.ndarray, np.ndarray]:
+        self._decomposition.check_index(i)
+        idx = _state_indices(samples, self._table.shape)
+        flat = np.ravel_multi_index(np.delete(idx, i, axis=1).T, self._complement_shape(i))
+        return (_safe_log(self.marginal(i).pmf)[idx[:, i]],
+                _safe_log(self.complement_marginal(i).pmf)[flat])
 
     def block_entropy(self, i: int) -> float:
         """H(theta_i), exact summation of the block marginal."""
@@ -259,47 +272,104 @@ class DiscreteTarget(TargetModel):
         log_ratio = _safe_log(joint) - (_safe_log(p_c)[:, None] + _safe_log(p_i)[None, :])
         return float(np.sum(_xlogy(joint, log_ratio)))
 
-    # --- coordinate update ---------------------------------------------------
+    def information_equality(self, i: int, method: str = "auto") -> InfoEquality:
+        """Exact summation, whatever the method."""
+        return InfoEquality(
+            mutual_information=self.mutual_information(i),
+            complement_entropy=self.complement_entropy(i),
+            conditional_entropy=self.conditional_entropy_complement(i),
+            block_entropy=self.block_entropy(i),
+            conditional_block_entropy=self.conditional_entropy_block(i),
+            method="enumeration",
+        )
 
-    def complement_factor_weights(self, factors, i: int) -> np.ndarray:
-        """Product pmf over the complement states (flat, C order) from per-block factors."""
+    # --- coordinate update and factor-product quantities ---------------------
+
+    def _factor_product(self, factors, i: int | None = None) -> np.ndarray:
+        """Product pmf of the factors of blocks j != i (all blocks when i is
+        None), flat in C order."""
         if len(factors) != self._table.ndim:
             raise ValueError("need one factor per block")
+        if not all(isinstance(f, DiscreteFactor) for f in factors):
+            raise ModelError("discrete model needs discrete factors")
         w = np.ones(1)
         for j, f in enumerate(factors):
             if j == i:
                 continue
-            pmf = np.asarray(f.pmf, dtype=float)
-            if pmf.size != self._table.shape[j]:
-                raise ValueError(f"factor {j} has support {pmf.size}, table needs {self._table.shape[j]}")
-            w = np.multiply.outer(w, pmf)
+            if f.pmf.size != self._table.shape[j]:
+                raise ValueError(f"factor {j} has support {f.pmf.size}, table needs {self._table.shape[j]}")
+            w = np.multiply.outer(w, f.pmf)
         return w.reshape(-1)
 
-    def cavi_update(self, factors, i: int) -> DiscreteFactor:
-        """Normalized exp of the expected log full conditional of block i.
-
-        The expectation is over the complement product of the given factors;
-        exact summation. Rejects supports where a zero conditional meets
-        positive complement mass.
-        """
+    def expected_log_conditional(self, factors, i: int) -> np.ndarray:
+        """Exact summation over the complement states. Rejects supports where
+        a zero conditional meets positive complement mass."""
         self._decomposition.check_index(i)
-        w = self.complement_factor_weights(factors, i)
+        w = self._factor_product(factors, i)
         rows = np.moveaxis(self._table, i, -1).reshape(-1, self._table.shape[i])
-        mass = rows.sum(axis=1)
+        mass = self._cond[i]["mass"]
         active = w > 0
         if np.any(active & (mass <= 0)):
             raise ModelError(
-                f"block {i} update: complement factor puts mass on a zero-mass conditioning event"
+                f"block {i}: complement factor puts mass on a zero-mass conditioning event"
             )
         if np.any(rows[active] <= 0):
             raise ModelError(
-                f"block {i} update: log of a zero conditional where the complement "
+                f"block {i}: log of a zero conditional where the complement "
                 "factor has positive mass (absolute continuity violated)"
             )
         log_cond = _safe_log(rows[active]) - _safe_log(mass[active])[:, None]
-        g = w[active] @ log_cond
+        return w[active] @ log_cond
+
+    def cavi_update(self, factors, i: int) -> DiscreteFactor | None:
+        """Normalized exp of the expected log full conditional of block i;
+        None for factors that are not pmfs."""
+        if not all(isinstance(f, DiscreteFactor) for f in factors):
+            return None
+        g = self.expected_log_conditional(factors, i)
         nu = np.exp(g - g.max())
         return DiscreteFactor(nu / nu.sum())
+
+    def initial_factors(self, strategy: str) -> list[DiscreteFactor]:
+        if strategy in ("default", "uniform"):
+            return [DiscreteFactor(np.full(n, 1.0 / n)) for n in self._table.shape]
+        if strategy == "marginals":
+            return [self.marginal(i) for i in range(self._table.ndim)]
+        raise ModelError(f"{strategy} initializer needs a Gaussian model")
+
+    def product_kl(self, factors, i: int | None = None) -> float:
+        q = self._factor_product(factors, i)
+        pi = self._table.reshape(-1) if i is None else self.complement_marginal(i).pmf
+        return float(np.sum(_xlogy(q, _safe_log(q) - _safe_log(pi))))
+
+    def block_kl_terms(self, factor, i: int) -> tuple[float, float]:
+        if not isinstance(factor, DiscreteFactor):
+            raise ModelError("discrete model needs discrete factors")
+        self._decomposition.check_index(i)
+        rows = np.moveaxis(self._table, i, -1).reshape(-1, self._table.shape[i])  # (c, x)
+        marg_i = self.marginal(i).pmf
+        log_cond_c = _safe_log(rows) - _safe_log(marg_i)[None, :]    # log pi(c|x)
+        mask = factor.pmf > 0
+        if np.any(mask & (marg_i <= 0)):
+            raise SupportError("factor mass outside the block marginal support")
+        expected = log_cond_c[:, mask] @ factor.pmf[mask]
+        finite = np.isfinite(expected)
+        raw = float(logsumexp(expected[finite])) if np.any(finite) else -np.inf
+        return raw, float(np.sum(_xlogy(factor.pmf, _safe_log(factor.pmf) - _safe_log(marg_i))))
+
+    # --- candidates and report echo ------------------------------------------
+
+    def random_factor(self, i: int, rng: np.random.Generator) -> DiscreteFactor:
+        """A flat-Dirichlet draw on block i's support."""
+        return DiscreteFactor(rng.dirichlet(np.ones(self._table.shape[i])))
+
+    def reference_point(self) -> np.ndarray:
+        """The joint mode."""
+        flat = int(np.argmax(self._table))
+        return np.asarray(np.unravel_index(flat, self._table.shape), dtype=float)
+
+    def echo(self) -> dict:
+        return {"family": "discrete", "support_sizes": list(self._table.shape)}
 
     # --- sampling -------------------------------------------------------------
 

@@ -17,11 +17,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, cholesky, solve_triangular
+from scipy.linalg import block_diag, cho_factor, cho_solve, cholesky, solve_triangular
 
-from duality_bench.core import BlockDecomposition, TargetModel
+from duality_bench.core import BlockDecomposition, InfoEquality, TargetModel
 from duality_bench.errors import ModelError
-from duality_bench.quadrature import GRID_POINTS_1D, gaussian_grid
+from duality_bench.quadrature import (
+    GRID_POINTS_1D,
+    GRID_POINTS_2D,
+    gaussian_grid,
+    log_integral,
+    tensor_weights,
+    trapezoid_weights,
+)
 
 __all__ = [
     "GaussianFactor",
@@ -111,6 +118,12 @@ class GaussianFactor:
 def entropy(factor: GaussianFactor) -> float:
     """Differential entropy -int f log f = 1/2 log det(2 pi e Sigma)."""
     return factor.entropy()
+
+
+def _gaussian_factors(factors) -> list:
+    if not all(isinstance(f, GaussianFactor) for f in factors):
+        raise ModelError("Gaussian model needs Gaussian factors")
+    return list(factors)
 
 
 def kl_divergence(a: GaussianFactor, b: GaussianFactor) -> float:
@@ -249,12 +262,15 @@ class GaussianTarget(TargetModel):
         return GaussianFactor._trusted(cond_mean, blk["cov_i"], blk["chol_i"],
                                        blk["log_det_i"])
 
-    def block_grid(self, i: int) -> np.ndarray:
-        self._decomposition.check_index(i)
-        if self._decomposition.block_dims[i] != 1:
-            raise ModelError("block grids are only defined for 1-D blocks")
+    def block_measure(self, i: int, points: int = GRID_POINTS_1D) -> tuple[np.ndarray, np.ndarray]:
+        """Trapezoid rule on +-8 marginal standard deviations around the mean."""
+        dims = self._decomposition.block_dims
+        if dims[self._decomposition.check_index(i)] != 1:
+            raise ModelError(
+                f"block measures are only defined for 1-D blocks; block {i} has dim {dims[i]}")
         k = self._decomposition.block_offsets[i]
-        return gaussian_grid(self._mean[k], np.sqrt(self._cov[k, k]), GRID_POINTS_1D)
+        nodes = gaussian_grid(self._mean[k], np.sqrt(self._cov[k, k]), points)
+        return nodes, trapezoid_weights(nodes)
 
     # --- analytic marginals and conditionals -------------------------------
 
@@ -266,6 +282,12 @@ class GaussianTarget(TargetModel):
         blk = self._blocks[self._decomposition.check_index(i)]
         return GaussianFactor(self._mean[blk["ci"]], self._cov[np.ix_(blk["ci"], blk["ci"])])
 
+    def log_marginals(self, i: int, samples) -> tuple[np.ndarray, np.ndarray]:
+        blk = self._blocks[self._decomposition.check_index(i)]
+        samples = np.asarray(samples, dtype=float)
+        return (np.asarray(self.marginal(i).log_density(samples[:, self._decomposition.block_slice(i)])),
+                np.asarray(self.complement_marginal(i).log_density(samples[:, blk["ci"]])))
+
     def conditional_complement(self, i: int, block_values) -> GaussianFactor:
         """Density of theta_-i given theta_i = block_values."""
         blk = self._blocks[self._decomposition.check_index(i)]
@@ -274,17 +296,65 @@ class GaussianTarget(TargetModel):
         return GaussianFactor._trusted(cond_mean, blk["cov_c"], blk["chol_c"],
                                        blk["log_det_c"])
 
+    def information_equality(self, i: int, method: str = "auto") -> InfoEquality:
+        """Tensor quadrature when the target is bivariate ("auto" picks it
+        there), otherwise the closed forms."""
+        self._decomposition.check_index(i)
+        can_quadrature = self._decomposition.total_dim == 2
+        if method == "auto":
+            method = "quadrature" if can_quadrature else "closed_form"
+        if method == "quadrature":
+            if not can_quadrature:
+                raise ModelError("quadrature route needs two 1-D blocks")
+            return self._info_quadrature(i)
+        if method == "closed_form":
+            dec = self._decomposition
+            # conditional entropies from the Schur-complement covariances
+            return InfoEquality(
+                mutual_information(self, i),
+                entropy(self.complement_marginal(i)),
+                self.conditional_complement(i, self._mean[dec.block_slice(i)]).entropy(),
+                entropy(self.marginal(i)),
+                self.full_conditional(i, self._mean[dec.complement_indices(i)]).entropy(),
+                method="closed_form",
+            )
+        raise ValueError(f"unknown method {method!r}")
+
+    def _info_quadrature(self, i: int) -> InfoEquality:
+        g1 = gaussian_grid(self._mean[0], np.sqrt(self._cov[0, 0]), GRID_POINTS_2D)
+        g2 = gaussian_grid(self._mean[1], np.sqrt(self._cov[1, 1]), GRID_POINTS_2D)
+        grids = (g1, g2) if i == 0 else (g2, g1)
+        w2 = tensor_weights(*grids)
+        pts = np.stack([m.reshape(-1) for m in np.meshgrid(*grids, indexing="ij")], axis=1)
+        if i == 1:
+            pts = pts[:, ::-1]
+        log_joint = np.asarray(self.log_density(pts)).reshape(w2.shape)
+        x_i, x_c = grids
+        log_m_i = np.asarray(self.marginal(i).log_density(x_i.reshape(-1, 1)))
+        log_m_c = np.asarray(self.complement_marginal(i).log_density(x_c.reshape(-1, 1)))
+        joint = np.exp(log_joint)
+        mi = float(np.sum(w2 * joint * (log_joint - log_m_i[:, None] - log_m_c[None, :])))
+        w_c = trapezoid_weights(x_c)
+        h_c = -float(np.sum(w_c * np.exp(log_m_c) * log_m_c))
+        h_cond = -float(np.sum(w2 * joint * (log_joint - log_m_i[:, None])))
+        w_i = trapezoid_weights(x_i)
+        h_i = -float(np.sum(w_i * np.exp(log_m_i) * log_m_i))
+        h_cond_i = -float(np.sum(w2 * joint * (log_joint - log_m_c[None, :])))
+        return InfoEquality(mi, h_c, h_cond, h_i, h_cond_i, method="quadrature")
+
     # --- coordinate-ascent machinery ---------------------------------------
 
-    def cavi_update_factor(self, i: int, complement_means) -> GaussianFactor:
+    def cavi_update(self, factors, i: int) -> GaussianFactor | None:
         """Lemma-style analytic update: the exponentiated expected log full
-        conditional under Gaussian complement factors with the given means.
+        conditional under Gaussian complement factors; None for other factors.
 
         The update covariance is Lambda_ii^{-1} regardless of the complement
         factor covariances; only the complement means enter.
         """
+        if not all(isinstance(f, GaussianFactor) for f in factors):
+            return None
         blk = self._blocks[self._decomposition.check_index(i)]
-        m_c = np.asarray(complement_means, dtype=float).reshape(-1)
+        m_c = np.concatenate([f.mean for j, f in enumerate(factors) if j != i])
         new_mean = self._mean[blk["bi"]] - blk["gain_i"] @ (m_c - self._mean[blk["ci"]])
         return GaussianFactor._trusted(new_mean, blk["cov_i"], blk["chol_i"],
                                        blk["log_det_i"])
@@ -301,42 +371,70 @@ class GaussianTarget(TargetModel):
         return GaussianFactor._trusted(self._mean[blk["bi"]].copy(), blk["cov_i"],
                                        blk["chol_i"], blk["log_det_i"])
 
-    # --- expected log conditionals under Gaussian factor products ----------
+    def initial_factors(self, strategy: str) -> list[GaussianFactor]:
+        if strategy in ("default", "marginals"):
+            return [self.marginal(i) for i in range(self._decomposition.n_blocks)]
+        if strategy == "standard_normal":
+            return [GaussianFactor(np.zeros(d), np.eye(d)) for d in self._decomposition.block_dims]
+        raise ModelError(f"{strategy} initializer is only defined for discrete models")
 
-    def expected_log_full_conditional(self, i: int, points, complement_mean,
-                                      complement_cov) -> np.ndarray:
-        """E_{q(theta_-i)}[log pi(theta_i = x | theta_-i, y)] for x in points.
+    # --- expectations and KLs under Gaussian factor products ---------------
 
-        q(theta_-i) is any Gaussian with the given mean and covariance (a
-        block-diagonal covariance for mean-field products). Exact:
-        log N(x; mu_i - G (m_c - mu_c), Lambda_ii^{-1}) - tr penalty / 2.
-        """
-        blk = self._blocks[self._decomposition.check_index(i)]
-        m_c = np.asarray(complement_mean, dtype=float).reshape(-1)
-        cov_c = np.asarray(complement_cov, dtype=float)
-        tilted = self.cavi_update_factor(i, m_c)
+    def expected_log_conditional(self, factors, i: int) -> np.ndarray:
+        """Exact: log N(x; mu_i - G (m_c - mu_c), Lambda_ii^{-1}) - tr penalty / 2,
+        with m_c and the block-diagonal covariance of the complement factors."""
+        tilted = self.cavi_update(_gaussian_factors(factors), i)
+        blk = self._blocks[i]
+        cov_c = block_diag(*[f.covariance for j, f in enumerate(factors) if j != i])
         b_mat = blk["lam_ic"].T @ blk["cov_i"] @ blk["lam_ic"]   # Lambda_ci cov_i Lambda_ic
         penalty = 0.5 * float(np.sum(b_mat * cov_c))
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim == 1:
-            pts = pts.reshape(-1, 1)
-        return np.asarray(tilted.log_density(pts)) - penalty
+        nodes = self.block_measure(i)[0]
+        return np.asarray(tilted.log_density(nodes.reshape(-1, 1))) - penalty
 
-    def expected_log_complement_conditional(self, i: int, points, block_mean,
-                                            block_cov) -> np.ndarray:
-        """E_{q(theta_i)}[log pi(theta_-i = c | theta_i, y)] for c in points."""
+    def product_kl(self, factors, i: int | None = None) -> float:
+        """Closed-form KL from the block-diagonal product Gaussian."""
+        factors = _gaussian_factors(factors)
+        keep = [j for j in range(self._decomposition.n_blocks) if j != i]
+        idx = np.concatenate([self._decomposition.block_indices(j) for j in keep])
+        product = GaussianFactor(np.concatenate([factors[j].mean for j in keep]),
+                                 block_diag(*[factors[j].covariance for j in keep]))
+        return kl_divergence(product, GaussianFactor(self._mean[idx], self._cov[np.ix_(idx, idx)]))
+
+    def block_kl_terms(self, factor, i: int) -> tuple[float, float]:
+        """exp E_{q_i}[log pi(c | theta_i)] is an unnormalized Gaussian in c with
+        total mass exp(-penalty); a 1-D complement is integrated by quadrature,
+        a larger one analytically."""
+        (factor,) = _gaussian_factors([factor])
         blk = self._blocks[self._decomposition.check_index(i)]
-        m_i = np.asarray(block_mean, dtype=float).reshape(-1)
-        cov_i = np.asarray(block_cov, dtype=float)
-        cond_mean = self._mean[blk["ci"]] - blk["gain_c"] @ (m_i - self._mean[blk["bi"]])
-        tilted = GaussianFactor._trusted(cond_mean, blk["cov_c"], blk["chol_c"],
-                                         blk["log_det_c"])
         b_mat = blk["lam_ic"] @ blk["cov_c"] @ blk["lam_ic"].T   # Lambda_ic cov_c Lambda_ci
-        penalty = 0.5 * float(np.sum(b_mat * cov_i))
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim == 1:
-            pts = pts.reshape(-1, 1)
-        return np.asarray(tilted.log_density(pts)) - penalty
+        penalty = 0.5 * float(np.sum(b_mat * factor.covariance))
+        if blk["ci"].size == 1:
+            cm = self.complement_marginal(i)
+            grid = gaussian_grid(float(cm.mean[0]), float(np.sqrt(cm.covariance[0, 0])),
+                                 GRID_POINTS_1D)
+            tilted = self.conditional_complement(i, factor.mean)
+            raw = log_integral(np.asarray(tilted.log_density(grid.reshape(-1, 1))) - penalty,
+                               grid)
+        else:
+            raw = -penalty
+        return raw, kl_divergence(factor, self.marginal(i))
+
+    # --- candidates and report echo ----------------------------------------
+
+    def random_factor(self, i: int, rng: np.random.Generator) -> GaussianFactor:
+        """Mean uniform in [-2, 2], variance uniform in [0.25, 4] (1-D blocks)."""
+        return GaussianFactor([rng.uniform(-2, 2)], [[rng.uniform(0.25, 4)]])
+
+    def reference_point(self) -> np.ndarray:
+        return np.asarray(self._mean, dtype=float)
+
+    def echo(self) -> dict:
+        return {
+            "family": "gaussian",
+            "block_dims": list(self._decomposition.block_dims),
+            "mean": self._mean.tolist(),
+            "covariance": self._cov.tolist(),
+        }
 
     def sample(self, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
         """Exact joint draw(s) from the posterior."""

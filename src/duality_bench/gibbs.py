@@ -13,7 +13,6 @@ seed 0 is legal. Parallel chains derive seeds as seed, seed+1, ... (mod 2^64).
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,7 +111,7 @@ def _resolve_init(model: TargetModel, config: GibbsConfig,
         if strategy == "uniform":
             if not model.is_discrete:
                 raise ModelError("uniform initializer is only defined for discrete models")
-            sizes = [model.block_grid(i).size for i in range(dec.n_blocks)]
+            sizes = [model.block_measure(i)[0].size for i in range(dec.n_blocks)]
             return np.array([float(rng.integers(n)) for n in sizes]), strategy
         raise ModelError(f"unknown initializer {init!r}")
     theta = dec.check_vector(np.asarray(init, dtype=float))
@@ -210,22 +209,20 @@ def _discrete_chain_samples(model, config: GibbsConfig, theta: np.ndarray,
 
 
 def run_chains(model: TargetModel, config: GibbsConfig, n_chains: int) -> list[ChainTrace]:
-    """Run n_chains chains with derived seeds seed, seed+1, ... concurrently.
+    """Run n_chains chains with derived seeds seed, seed+1, ... one after another.
 
-    The model is shared read-only; each chain owns its generator, so results
-    do not depend on thread scheduling.
+    Each chain owns its generator, so every trace equals that of ``run_chain``
+    with the derived seed. The scan is Python code that holds the interpreter
+    lock, so running chains in threads would add cost and no speed.
     """
     if n_chains < 1:
         raise ValueError("n_chains must be positive")
-    configs = [
-        GibbsConfig(n_cycles=config.n_cycles, burn_in=config.burn_in,
-                    seed=(int(config.seed) + k) % MAX_SEED, init=config.init)
+    return [
+        run_chain(model, GibbsConfig(n_cycles=config.n_cycles, burn_in=config.burn_in,
+                                     seed=(int(config.seed) + k) % MAX_SEED,
+                                     init=config.init))
         for k in range(n_chains)
     ]
-    if n_chains == 1:
-        return [run_chain(model, configs[0])]
-    with ThreadPoolExecutor(max_workers=n_chains) as pool:
-        return list(pool.map(lambda cfg: run_chain(model, cfg), configs))
 
 
 def kernel_log_density(model: TargetModel, theta_from, theta_to) -> float:

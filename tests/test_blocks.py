@@ -1,9 +1,6 @@
-"""Decomposition, split, and substitute contracts."""
+"""Decomposition contracts."""
 
-import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from duality_bench import make_decomposition
 
@@ -29,93 +26,3 @@ class TestMakeDecomposition:
     def test_nonpositive_dims_rejected(self, dims):
         with pytest.raises(ValueError):
             make_decomposition(dims)
-
-
-class TestSplit:
-    def test_middle_block(self):
-        dec = make_decomposition([1, 1, 1])
-        view = dec.split([10.0, 20.0, 30.0], 1)
-        assert view.values.tolist() == [20.0]
-        assert view.complement_values.tolist() == [10.0, 30.0]
-
-    def test_leading_block(self):
-        dec = make_decomposition([2, 2])
-        view = dec.split([1.0, 2.0, 3.0, 4.0], 0)
-        assert view.values.tolist() == [1.0, 2.0]
-        assert view.complement_values.tolist() == [3.0, 4.0]
-
-    def test_reassembly_round_trip(self):
-        rng = np.random.default_rng(1)
-        dec = make_decomposition([2, 1, 3])
-        theta = rng.standard_normal(6)
-        for i in range(3):
-            view = dec.split(theta, i)
-            rebuilt = dec.assemble(i, view.values, view.complement_values)
-            np.testing.assert_array_equal(rebuilt, theta)
-
-    def test_index_out_of_range(self):
-        dec = make_decomposition([1, 1])
-        with pytest.raises(IndexError):
-            dec.split([0.0, 0.0], 2)
-
-    def test_length_mismatch(self):
-        dec = make_decomposition([1, 1])
-        with pytest.raises(ValueError):
-            dec.split([0.0, 0.0, 0.0], 0)
-
-
-class TestSubstitute:
-    def test_replaces_named_block(self):
-        dec = make_decomposition([1, 1, 1])
-        out = dec.substitute([1.0, 2.0, 3.0], 2, [9.0])
-        assert out.tolist() == [1.0, 2.0, 9.0]
-
-    def test_identity_round_trip(self):
-        dec = make_decomposition([1, 1])
-        theta = np.array([0.0, 0.0])
-        out = dec.substitute(theta, 0, [5.0])
-        assert out.tolist() == [5.0, 0.0]
-
-    def test_dimension_mismatch(self):
-        dec = make_decomposition([2, 1])
-        with pytest.raises(ValueError):
-            dec.substitute([0.0, 0.0, 0.0], 0, [1.0])
-
-    def test_input_not_mutated(self):
-        dec = make_decomposition([1, 1])
-        theta = np.array([1.0, 2.0])
-        dec.substitute(theta, 0, [7.0])
-        assert theta.tolist() == [1.0, 2.0]
-
-
-@st.composite
-def decomposition_and_vector(draw):
-    dims = draw(st.lists(st.integers(1, 4), min_size=2, max_size=5))
-    values = draw(st.lists(
-        st.floats(-1e6, 1e6, allow_nan=False), min_size=sum(dims),
-        max_size=sum(dims)))
-    return dims, np.asarray(values)
-
-
-@settings(max_examples=60, deadline=None)
-@given(decomposition_and_vector())
-def test_split_substitute_round_trip_exact(case):
-    dims, theta = case
-    dec = make_decomposition(dims)
-    for i in range(dec.n_blocks):
-        view = dec.split(theta, i)
-        assert np.array_equal(dec.substitute(theta, i, view.values), theta)
-
-
-@settings(max_examples=60, deadline=None)
-@given(decomposition_and_vector(), st.data())
-def test_substitute_never_touches_other_blocks(case, data):
-    dims, theta = case
-    dec = make_decomposition(dims)
-    i = data.draw(st.integers(0, dec.n_blocks - 1))
-    new_block = np.full(dims[i], 123.25)
-    out = dec.substitute(theta, i, new_block)
-    for j in range(dec.n_blocks):
-        if j != i:
-            s = dec.block_slice(j)
-            assert np.array_equal(out[s], theta[s])

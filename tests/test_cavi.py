@@ -65,7 +65,7 @@ class TestCaviUpdate:
 
     def test_grid_path_matches_analytic_to_1e10(self):
         model = bivariate(0.5)
-        grids = [model.block_grid(i) for i in range(2)]
+        grids = [model.block_measure(i)[0] for i in range(2)]
         factors = [
             GridFactor(grids[0], np.exp(normal_logpdf(grids[0], 0.0, 1.0))),
             GridFactor(grids[1], np.exp(normal_logpdf(grids[1], 0.3, 0.75))),

@@ -159,6 +159,22 @@ class TestDiagnose:
         for block in report["blocks"]:
             assert block["information_residual"] <= 1e-12
 
+    def test_vector_block_exits_2_before_the_chain(self, tmp_path, capsys, monkeypatch):
+        import duality_bench.cli as cli
+
+        calls = []
+        monkeypatch.setattr(cli, "run_chains", lambda *args: calls.append(args))
+        cfg = write_config(tmp_path / "cfg.json", gibbs=DIAGNOSE_GIBBS, model={
+            "family": "gaussian", "mean": [0.0, 0.0, 0.0],
+            "covariance": [[1.0, 0.5, 0.0], [0.5, 1.0, 0.2], [0.0, 0.2, 1.0]],
+            "block_dims": [1, 2],
+        })
+        out = tmp_path / "out"
+        assert main(["diagnose", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "model.block_dims" in capsys.readouterr().err
+        assert calls == []
+        assert not (out / "report.json").exists()
+
     def test_corrupted_state_file_exits_1_with_squash_failure(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json", gibbs=DIAGNOSE_GIBBS)
         out = tmp_path / "cavi"

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from duality_bench import DiscreteFactor, DiscreteTarget, ModelError, ZeroMassError
+from duality_bench import ChainTrace, DiscreteFactor, DiscreteTarget, ModelError, ZeroMassError
+from duality_bench.diagnostics import info_monte_carlo
 
 from oracles import minimize_block_kl, product_kl_vs_table, random_table
 
@@ -53,6 +54,29 @@ class TestFullConditional:
     def test_conditional_sums_to_one(self):
         t = DiscreteTarget(TABLE)
         assert t.conditional_normalization(0, [1]) == pytest.approx(1.0, abs=1e-15)
+
+
+class TestStateValidation:
+    # a negative index, a fractional value, and an index past the support
+    BAD_ROWS = [[-1, 0], [0.7, 1], [2, 0]]
+
+    @pytest.mark.parametrize("row", BAD_ROWS)
+    def test_batch_rejects_what_single_point_rejects(self, row):
+        t = DiscreteTarget(TABLE)
+        with pytest.raises(ValueError):
+            t.log_density(np.array(row, dtype=float))
+        with pytest.raises(ValueError):
+            t.log_density(np.array([[0, 0], row, [1, 1]], dtype=float))
+
+    @pytest.mark.parametrize("row", BAD_ROWS)
+    def test_info_monte_carlo_rejects_trace_with_bad_row(self, row):
+        samples = np.tile([[0.0, 1.0], [1.0, 1.0]], (50, 1))
+        samples[37] = row
+        trace = ChainTrace(samples=samples, n_cycles=100, burn_in=0, seed=0,
+                           init_strategy="explicit")
+        for i in range(2):
+            with pytest.raises(ValueError):
+                info_monte_carlo(DiscreteTarget(TABLE), trace, i)
 
 
 class TestInformationQuantities:

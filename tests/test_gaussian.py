@@ -231,8 +231,7 @@ class TestCaviFixedPoint:
         t = GaussianTarget(rng.standard_normal(3), cov, make_decomposition([1, 1, 1]))
         fps = [t.cavi_fixed_point(i) for i in range(3)]
         for i in range(3):
-            comp_means = np.concatenate([fps[j].mean for j in range(3) if j != i])
-            upd = t.cavi_update_factor(i, comp_means)
+            upd = t.cavi_update(fps, i)
             np.testing.assert_allclose(upd.mean, fps[i].mean, atol=1e-10)
             np.testing.assert_allclose(upd.covariance, fps[i].covariance, atol=1e-10)
 
@@ -259,10 +258,11 @@ class TestConsistencyInvariants:
             for _ in range(5):
                 theta = rng.standard_normal(d)
                 for i in range(dec.n_blocks):
-                    view = dec.split(theta, i)
+                    block = theta[dec.block_slice(i)]
+                    complement = theta[dec.complement_indices(i)]
                     lhs = t.log_density(theta)
-                    rhs = (t.full_conditional(i, view.complement_values)
-                           .log_density(view.values.reshape(1, -1))[0]
+                    rhs = (t.full_conditional(i, complement)
+                           .log_density(block.reshape(1, -1))[0]
                            + t.complement_marginal(i)
-                           .log_density(view.complement_values.reshape(1, -1))[0])
+                           .log_density(complement.reshape(1, -1))[0])
                     assert lhs == pytest.approx(rhs, abs=1e-10)
