@@ -8,6 +8,8 @@ Everything downstream (Gibbs, CAVI, diagnostics) is written against
 :class:`TargetModel` and never asks which family it runs. A family supplies
 the densities the duality checks are stated over, each as one primitive:
 
+- ``block_sampler``: the Gibbs step of one block, a full-conditional draw
+  written into the parameter vector from a row of pre-drawn noise;
 - ``block_measure``: nodes and weights for one block (trapezoid weights on a
   continuous block, the counting measure on a discrete one);
 - ``marginal`` and ``log_marginals``: the block marginal as a factor, and
@@ -173,6 +175,18 @@ class TargetModel(ABC):
     def full_conditional(self, i: int, complement_values):
         """Normalized density of block i given the other blocks: a factor with
         ``log_density`` and ``sample(rng)``."""
+
+    @abstractmethod
+    def block_sampler(self, i: int):
+        """The Gibbs step of block i: a function ``draw(theta, u)``.
+
+        ``draw`` overwrites block i of the float vector ``theta`` in place with
+        a draw from ``full_conditional(i, theta_-i)``, made from the noise row
+        ``u`` of width D (uniforms on a discrete model, standard normals
+        otherwise). The block reads only its own slice of ``u``, so on the same
+        random stream the draw equals ``full_conditional(...).sample(rng)``
+        bit for bit, and raises the same errors.
+        """
 
     @abstractmethod
     def block_measure(self, i: int, points: int = GRID_POINTS_1D) -> tuple[np.ndarray, np.ndarray]:

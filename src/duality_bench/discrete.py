@@ -14,6 +14,7 @@ conditional meets positive complement-factor mass (absolute continuity).
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -137,7 +138,6 @@ class DiscreteTarget(TargetModel):
         table.setflags(write=False)
         self._table = table
         self._decomposition = BlockDecomposition(tuple(1 for _ in table.shape))
-        self._flat_cumsum = np.cumsum(table.reshape(-1))
         # Per-block conditional tables: axis i moved last, rows indexed by the
         # flat complement state (C order over the remaining axes).
         self._cond = []
@@ -199,10 +199,30 @@ class DiscreteTarget(TargetModel):
         flat = int(np.ravel_multi_index(comp.T, shape)[0])
         if c["mass"][flat] <= 0:
             raise ZeroMassError(
-                f"conditioning event for block {i} (complement state {complement_values}) "
+                f"conditioning event for block {i} (complement state {comp[0].tolist()}) "
                 "has zero probability mass"
             )
         return DiscreteFactor._trusted(c["probs"][flat], c["cumsum"][flat])
+
+    def block_sampler(self, i: int):
+        """Inverse-CDF draw from the cached conditional row of the complement
+        state, with the one uniform ``u[i]``, as ``DiscreteFactor.sample``."""
+        self._decomposition.check_index(i)
+        c = self._cond[i]
+        # Rows keyed by integer complement state; float keys hash alike.
+        rows = {state: cum.tolist()
+                for state, mass, cum in zip(np.ndindex(self._complement_shape(i)),
+                                            c["mass"], c["cumsum"]) if mass > 0}
+
+        def draw(theta, u):
+            state = theta.tolist()
+            comp = tuple(state[:i] + state[i + 1:])
+            cumsum = rows.get(comp)
+            if cumsum is None:  # off the support or zero mass: full_conditional raises
+                cumsum = self.full_conditional(i, comp)._cumsum.tolist()
+            theta[i] = bisect_right(cumsum, u[i])
+
+        return draw
 
     def _complement_shape(self, i: int) -> tuple[int, ...]:
         return tuple(n for j, n in enumerate(self._table.shape) if j != i)
@@ -370,14 +390,6 @@ class DiscreteTarget(TargetModel):
 
     def echo(self) -> dict:
         return {"family": "discrete", "support_sizes": list(self._table.shape)}
-
-    # --- sampling -------------------------------------------------------------
-
-    def sample(self, rng: np.random.Generator) -> np.ndarray:
-        """Exact joint draw, returned as a float state vector."""
-        u = rng.random()
-        flat = int(np.searchsorted(self._flat_cumsum, u, side="right"))
-        return np.asarray(np.unravel_index(flat, self._table.shape), dtype=float)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, DiscreteTarget) and np.array_equal(self._table, other._table)

@@ -84,7 +84,7 @@ class GaussianFactor:
     @classmethod
     def _trusted(cls, mean: np.ndarray, cov: np.ndarray, chol: np.ndarray,
                  log_det: float) -> "GaussianFactor":
-        # Construction bypass for cached per-block conditionals (hot Gibbs path).
+        # Construction bypass for factors built from the cached block entries.
         obj = object.__new__(cls)
         object.__setattr__(obj, "mean", mean)
         object.__setattr__(obj, "covariance", cov)
@@ -261,6 +261,19 @@ class GaussianTarget(TargetModel):
         cond_mean = self._mean[blk["bi"]] - blk["gain_i"] @ (x_c - self._mean[blk["ci"]])
         return GaussianFactor._trusted(cond_mean, blk["cov_i"], blk["chol_i"],
                                        blk["log_det_i"])
+
+    def block_sampler(self, i: int):
+        """Conditional mean plus chol_i @ u_i, the arithmetic of
+        ``full_conditional(i, x_c).sample`` on the cached block entries."""
+        blk = self._blocks[self._decomposition.check_index(i)]
+        block = self._decomposition.block_slice(i)
+        ci, gain, chol = blk["ci"], blk["gain_i"], blk["chol_i"]
+        mean_i, mean_c = self._mean[blk["bi"]], self._mean[ci]
+
+        def draw(theta, u):
+            theta[block] = (mean_i - gain @ (theta[ci] - mean_c)) + chol @ u[block]
+
+        return draw
 
     def block_measure(self, i: int, points: int = GRID_POINTS_1D) -> tuple[np.ndarray, np.ndarray]:
         """Trapezoid rule on +-8 marginal standard deviations around the mean."""

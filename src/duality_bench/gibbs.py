@@ -115,97 +115,46 @@ def _resolve_init(model: TargetModel, config: GibbsConfig,
             return np.array([float(rng.integers(n)) for n in sizes]), strategy
         raise ModelError(f"unknown initializer {init!r}")
     theta = dec.check_vector(np.asarray(init, dtype=float))
+    model.log_density(theta)  # a start off the support raises here
     return theta, "explicit"
+
+
+def _scan(model: TargetModel, theta, rng: np.random.Generator,
+          n_cycles: int, burn_in: int) -> np.ndarray:
+    """The systematic scan: ``n_cycles`` sweeps of the block samplers from
+    ``theta``, one row of noise per sweep, drawn up front in a single call.
+    Returns the rows after ``burn_in``."""
+    dec = model.decomposition
+    theta = dec.check_vector(theta).copy()
+    samplers = [model.block_sampler(i) for i in range(dec.n_blocks)]
+    shape = (n_cycles, dec.total_dim)
+    noise = rng.random(shape) if model.is_discrete else rng.standard_normal(shape)
+    samples = np.empty((n_cycles - burn_in, dec.total_dim))
+    for cycle, u in enumerate(noise):
+        for draw in samplers:
+            draw(theta, u)
+        if cycle >= burn_in:
+            samples[cycle - burn_in] = theta
+    return samples
 
 
 def gibbs_cycle(model: TargetModel, theta, rng: np.random.Generator) -> np.ndarray:
     """One systematic scan: resample every block in index order."""
-    dec = model.decomposition
-    theta = np.array(theta, dtype=float)
-    for i in range(dec.n_blocks):
-        complement = theta[dec.complement_indices(i)]
-        draw = model.full_conditional(i, complement).sample(rng)
-        theta[dec.block_slice(i)] = np.asarray(draw, dtype=float).reshape(-1)
-    return theta
+    return _scan(model, theta, rng, n_cycles=1, burn_in=0)[0]
 
 
 def run_chain(model: TargetModel, config: GibbsConfig) -> ChainTrace:
     """Run a seeded chain; the trace excludes burn-in cycles.
 
     Output is a pure function of (seed, config, model): same inputs give
-    bitwise-identical traces. Discrete targets take a cached-conditionals
-    fast path that consumes the identical random stream (one uniform per
-    block draw), so both paths produce the same trace.
+    bitwise-identical traces, equal to repeated ``gibbs_cycle`` calls on the
+    generator after initialization.
     """
     rng = make_rng(config.seed)
     theta, strategy = _resolve_init(model, config, rng)
-    from duality_bench.discrete import DiscreteTarget
-
-    if isinstance(model, DiscreteTarget):
-        samples = _discrete_chain_samples(model, config, theta, rng)
-    else:
-        samples = _generic_chain_samples(model, config, theta, rng)
-    return ChainTrace(samples=samples, n_cycles=config.n_cycles,
-                      burn_in=config.burn_in, seed=int(config.seed),
-                      init_strategy=strategy)
-
-
-def _generic_chain_samples(model: TargetModel, config: GibbsConfig,
-                           theta: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    dec = model.decomposition
-    kept = config.n_cycles - config.burn_in
-    samples = np.empty((kept, dec.total_dim))
-    comp_idx = [dec.complement_indices(i) for i in range(dec.n_blocks)]
-    slices = [dec.block_slice(i) for i in range(dec.n_blocks)]
-    theta = theta.copy()
-    for cycle in range(config.n_cycles):
-        for i in range(dec.n_blocks):
-            draw = model.full_conditional(i, theta[comp_idx[i]]).sample(rng)
-            theta[slices[i]] = np.asarray(draw, dtype=float).reshape(-1)
-        if cycle >= config.burn_in:
-            samples[cycle - config.burn_in] = theta
-    return samples
-
-
-def _discrete_chain_samples(model, config: GibbsConfig, theta: np.ndarray,
-                            rng: np.random.Generator) -> np.ndarray:
-    from bisect import bisect_right
-
-    from duality_bench.errors import ZeroMassError
-
-    state = list(model.to_state(theta))
-    sizes = model.support_sizes
-    k_blocks = len(sizes)
-    strides = []
-    for i in range(k_blocks):
-        shape = [n for j, n in enumerate(sizes) if j != i]
-        st = [1] * len(shape)
-        for a in range(len(shape) - 2, -1, -1):
-            st[a] = st[a + 1] * shape[a + 1]
-        strides.append(st)
-    cumsums = [[row.tolist() for row in model._cond[i]["cumsum"]]
-               for i in range(k_blocks)]
-    masses = [model._cond[i]["mass"] for i in range(k_blocks)]
-    kept = config.n_cycles - config.burn_in
-    samples = np.empty((kept, k_blocks))
-    uniforms = rng.random(config.n_cycles * k_blocks)
-    at = 0
-    for cycle in range(config.n_cycles):
-        for i in range(k_blocks):
-            comp = state[:i] + state[i + 1:]
-            flat = 0
-            for c, s in zip(comp, strides[i]):
-                flat += c * s
-            if masses[i][flat] <= 0:
-                raise ZeroMassError(
-                    f"conditioning event for block {i} (complement state {comp}) "
-                    "has zero probability mass"
-                )
-            state[i] = bisect_right(cumsums[i][flat], uniforms[at])
-            at += 1
-        if cycle >= config.burn_in:
-            samples[cycle - config.burn_in] = state
-    return samples
+    return ChainTrace(samples=_scan(model, theta, rng, config.n_cycles, config.burn_in),
+                      n_cycles=config.n_cycles, burn_in=config.burn_in,
+                      seed=int(config.seed), init_strategy=strategy)
 
 
 def run_chains(model: TargetModel, config: GibbsConfig, n_chains: int) -> list[ChainTrace]:

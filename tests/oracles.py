@@ -134,3 +134,23 @@ def minimize_block_kl(table, i, factors, resolution=8, final_step=1e-9):
                         improved = True
         step /= 2.0
     return best, best_val
+
+
+# --------------------------------------------------------------------------
+# Reference systematic scan
+# --------------------------------------------------------------------------
+
+
+def reference_scan(model, theta, rng, n_cycles):
+    """Rows of n_cycles systematic scans from theta, each block drawn by
+    ``model.full_conditional(i, theta_-i).sample(rng)``: the per-block
+    reference the models' block samplers must match bit for bit."""
+    dec = model.decomposition
+    theta = np.array(theta, dtype=float)
+    rows = np.empty((n_cycles, dec.total_dim))
+    for cycle in range(n_cycles):
+        for i in range(dec.n_blocks):
+            draw = model.full_conditional(i, theta[dec.complement_indices(i)]).sample(rng)
+            theta[dec.block_slice(i)] = np.asarray(draw, dtype=float).reshape(-1)
+        rows[cycle] = theta
+    return rows

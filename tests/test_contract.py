@@ -2,7 +2,9 @@
 wrapper that forwards the contract, and nothing else, gives the same CAVI
 state and the same report as the target it wraps."""
 
+import ast
 import inspect
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -62,3 +64,28 @@ def test_engines_give_identical_results_through_the_contract(make_model):
     assert (build_report(wrapped, trace, state).to_jsonable()
             == build_report(model, trace, state).to_jsonable())
     assert state_to_jsonable(run_cavi(wrapped, config)) == state_to_jsonable(state)
+    assert run_chain(wrapped, GibbsConfig(n_cycles=2000, burn_in=200, seed=0)).samples.tobytes() \
+        == trace.samples.tobytes()
+
+
+ENGINES = ["gibbs.py", "cavi.py", "diagnostics.py"]
+SOURCE = Path(__file__).resolve().parents[1] / "src" / "duality_bench"
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_engines_never_name_a_family(engine):
+    """No engine names a target class or reads a private attribute of the model;
+    gibbs.py imports neither family module."""
+    tree = ast.parse((SOURCE / engine).read_text())
+    families = {"GaussianTarget", "DiscreteTarget"}
+    for node in ast.walk(tree):
+        named = (getattr(node, "id", None), getattr(node, "attr", None),
+                 getattr(node, "name", None))
+        assert families.isdisjoint(named), f"{engine}:{node.lineno} names a target family"
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            assert not (node.value.id == "model" and node.attr.startswith("_")), \
+                f"{engine}:{node.lineno} reads model.{node.attr}"
+        if engine == "gibbs.py" and isinstance(node, (ast.Import, ast.ImportFrom)):
+            modules = [getattr(node, "module", None) or ""] + [a.name for a in node.names]
+            assert not any(m.split(".")[-1] in ("gaussian", "discrete") for m in modules), \
+                f"gibbs.py:{node.lineno} imports a family module"
