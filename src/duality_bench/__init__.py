@@ -55,4 +55,4 @@ from duality_bench.gibbs import (
 )
 from duality_bench.quadrature import GridFactor
 
-__version__ = "0.1.0"
+__version__ = "0.1.1"

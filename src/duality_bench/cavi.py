@@ -2,14 +2,14 @@
 
 Each sweep replaces factor i with the normalized exponentiated expectation of
 the log full conditional under the other factors, in fixed order 0..K-1
-(results can depend on the order; fixing it makes runs reproducible). Three
+(results can depend on the order; fixing it makes runs reproducible). Two
 update paths share that contract:
 
 - the target's closed-form update (``TargetModel.cavi_update``): analytic
   for Gaussian targets with Gaussian factors, exact summation for discrete
   targets;
-- grid tabulation, for any target exposing 1-D block measures (expectations
-  by trapezoid quadrature on the nodes of the model's block measures).
+- grid tabulation, for any continuous target with 1-D blocks (expectations
+  by tensor trapezoid quadrature on the nodes of the factors' grids).
 
 The engine never asks which family it runs: "auto" takes the target's
 closed-form update and factors where it has them and the grid path
@@ -22,6 +22,7 @@ grid path).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -109,53 +110,50 @@ def factor_change(old, new) -> float:
     raise TypeError(f"cannot compare factors of types {type(old)} and {type(new)}")
 
 
-def _grid_update(model: TargetModel, factors, i: int) -> GridFactor:
-    """Tabulated Lemma update: exp of E_complement[log joint], renormalized.
+def _expected_log_joint(model: TargetModel, factors, i: int) -> np.ndarray:
+    """E over the grid factors j != i of log joint(x, theta_-i), at the nodes x
+    of factor i's grid, by tensor trapezoid quadrature in row chunks.
 
-    E[log pi(x | theta_-i)] differs from E[log joint(x, theta_-i)] by a
-    constant in x, so the normalized factor is identical and the joint is the
-    cheaper evaluation.
+    Block i's update is its exp, renormalized (E[log pi(x | theta_-i)] differs
+    by a constant in x); the objective's cross term is its q_i-mean.
     """
     dec = model.decomposition
+    if model.is_discrete:
+        raise ModelError("grid path requires continuous blocks")
     if any(d != 1 for d in dec.block_dims):
         raise ModelError("grid path requires 1-D blocks")
     grids = [f.grid for f in factors]
     comp_blocks = [j for j in range(dec.n_blocks) if j != i]
-    comp_sizes = [grids[j].size for j in comp_blocks]
-    if int(np.prod(comp_sizes)) > MAX_GRID_CELLS:
+    if int(np.prod([grids[j].size for j in comp_blocks])) > MAX_GRID_CELLS:
         raise ModelError("grid path tensor too large; use coarser grids or fewer blocks")
     # normalized complement weights w_j = trapezoid * factor values
     weights = []
     for j in comp_blocks:
         w = trapezoid_weights(grids[j]) * factors[j].values
         weights.append(w / w.sum())
-    comp_w = weights[0]
-    for w in weights[1:]:
-        comp_w = np.multiply.outer(comp_w, w)
-    comp_w = comp_w.reshape(-1)
+    comp_w = reduce(np.multiply.outer, weights).reshape(-1)
     comp_points = np.stack(
         [g.reshape(-1) for g in np.meshgrid(*[grids[j] for j in comp_blocks], indexing="ij")],
         axis=1,
     )
+    n_comp = comp_points.shape[0]
+    comp_offsets = [dec.block_offsets[j] for j in comp_blocks]
     x = grids[i]
     expected = np.empty(x.size)
-    chunk = max(1, MAX_GRID_CELLS // max(1, comp_points.shape[0]))
-    offsets = [dec.block_offsets[j] for j in comp_blocks]
+    chunk = max(1, MAX_GRID_CELLS // max(1, n_comp))
     for start in range(0, x.size, chunk):
         xs = x[start:start + chunk]
-        pts = np.empty((xs.size * comp_points.shape[0], dec.total_dim))
-        pts[:, dec.block_offsets[i]] = np.repeat(xs, comp_points.shape[0])
-        tiled = np.tile(comp_points, (xs.size, 1))
-        for col, off in enumerate(offsets):
-            pts[:, off] = tiled[:, col]
-        lj = np.asarray(model.log_density(pts), dtype=float)
-        lj = lj.reshape(xs.size, comp_points.shape[0])
+        pts = np.empty((xs.size, n_comp, dec.total_dim))
+        pts[:, :, dec.block_offsets[i]] = xs[:, None]
+        pts[:, :, comp_offsets] = comp_points
+        lj = np.asarray(model.log_density(pts.reshape(-1, dec.total_dim)), dtype=float)
+        lj = lj.reshape(xs.size, n_comp)
         if np.any(np.isneginf(lj) & (comp_w > 0)[None, :]):
             raise ModelError(
                 f"block {i} update: log of zero density on a positive-mass region"
             )
         expected[start:start + xs.size] = lj @ comp_w
-    return GridFactor.from_log_values(x, expected)
+    return expected
 
 
 def cavi_update(model: TargetModel, factors, i: int, path: str = "auto"):
@@ -172,7 +170,8 @@ def cavi_update(model: TargetModel, factors, i: int, path: str = "auto"):
             return update
         path = "grid"
     if path == "grid":
-        return _grid_update(model, factors, i)
+        expected = _expected_log_joint(model, factors, i)
+        return GridFactor.from_log_values(factors[i].grid, expected)
     raise ValueError(f"unknown path {path!r}")
 
 
@@ -208,8 +207,8 @@ def run_cavi(model: TargetModel, config: CaviConfig,
         try:
             history.append(kl_objective(model, factors))
         except ModelError:
-            # objective not computable for this model/factor combination
-            # (e.g. grid factors with K > 2); run without tracking
+            # objective not computable for these factors (e.g. closed-form
+            # factors of a target without product_kl); run without tracking
             track_objective = False
     cycles = 0
     converged = False
@@ -238,29 +237,20 @@ def run_cavi(model: TargetModel, config: CaviConfig,
 def kl_objective(model: TargetModel, factors) -> float:
     """KL(product of factors || posterior), >= 0.
 
-    Tensor trapezoid quadrature for grid factors (K <= 2, 1-D blocks), the
-    target's closed form (``TargetModel.product_kl``) otherwise. Needs a
-    normalized target (known evidence).
+    Tensor trapezoid quadrature for grid factors (any K the grid update
+    accepts), the target's closed form (``TargetModel.product_kl``)
+    otherwise. Needs a normalized target (known evidence).
     """
     factors = list(factors)
     if model.log_evidence is None:
         raise ModelError("objective requires normalized target (unknown evidence)")
     if all(isinstance(f, GridFactor) for f in factors):
-        if len(factors) != 2:
-            raise ModelError("grid objective implemented for K = 2 only")
-        g1, g2 = factors[0].grid, factors[1].grid
-        w = np.multiply.outer(
-            trapezoid_weights(g1) * factors[0].values,
-            trapezoid_weights(g2) * factors[1].values,
-        )
-        pts = np.stack(
-            [m.reshape(-1) for m in np.meshgrid(g1, g2, indexing="ij")], axis=1
-        )
-        log_pi = np.asarray(model.log_density(pts), dtype=float)
-        log_pi = log_pi.reshape(g1.size, g2.size) - model.log_evidence
-        log_q = factors[0].log_values[:, None] + factors[1].log_values[None, :]
-        integrand = np.where(w > 0, log_q - log_pi, 0.0)
-        return float(np.sum(w * integrand))
+        # sum_j E_qj[log q_j] - E_q0[E_q-0[log joint]] + log Z
+        masses = [f.weights * f.values for f in factors]
+        entropy_terms = sum(float(np.sum(m[m > 0] * f.log_values[m > 0]))
+                            for m, f in zip(masses, factors))
+        cross = float(np.sum(masses[0] * _expected_log_joint(model, factors, 0)))
+        return entropy_terms - cross + model.log_evidence
     return model.product_kl(factors)
 
 

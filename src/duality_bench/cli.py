@@ -124,10 +124,18 @@ def cmd_run_gibbs(args) -> int:
     return 0
 
 
+def _cavi_config(cfg: RunConfig, model):
+    cavi_cfg = cfg.cavi_config()
+    if cavi_cfg.path == "grid" and model.is_discrete:
+        raise ConfigError("cavi.path: the grid path needs continuous blocks; "
+                          "discrete models use \"auto\"")
+    return cavi_cfg
+
+
 def cmd_run_cavi(args) -> int:
     cfg = load_config(args.config)
     model = cfg.build_model()
-    state = run_cavi(model, cfg.cavi_config())
+    state = run_cavi(model, _cavi_config(cfg, model))
     out = _out_dir(args, cfg)
     payload = {
         "artifact_version": __version__,
@@ -159,13 +167,15 @@ def cmd_diagnose(args) -> int:
             model.block_measure(i)   # the report works on every block's measure
         except ModelError as exc:
             raise ConfigError(f"model.block_dims: {exc}") from exc
+    state_file = cfg.diagnostics.state_file
+    cavi_cfg = None if state_file is not None else _cavi_config(cfg, model)
     gibbs_cfg = cfg.gibbs_config(seed_override=args.seed)
     traces = run_chains(model, gibbs_cfg, args.parallel_chains)
     trace = pooled_trace(traces)
-    if cfg.diagnostics.state_file is not None:
-        state = _load_state_file(cfg.diagnostics.state_file)
+    if cavi_cfg is None:
+        state = _load_state_file(state_file)
     else:
-        state = run_cavi(model, cfg.cavi_config())
+        state = run_cavi(model, cavi_cfg)
     report = build_report(model, trace, state, cfg.diagnostics.report_options())
     out = _out_dir(args, cfg)
     if "json" in cfg.output_formats:

@@ -316,6 +316,16 @@ class _FunctionalWorkspace:
         return 0.5 * float(np.sum(self.weights * np.abs(
             q_values - self.conditional_values)))
 
+    def concavity_slack(self, pv: np.ndarray, qv: np.ndarray, a: float) -> float:
+        """F(a p + (1-a) q) - [a F(p) + (1-a) F(q)] for density values pv, qv."""
+        if not 0.0 <= a <= 1.0:
+            raise ValueError("mixture weight must lie in [0, 1]")
+        mix = a * pv + (1.0 - a) * qv
+        mass = float(np.sum(self.weights * mix))
+        if abs(mass - 1.0) > 1e-10:
+            raise ModelError(f"mixture mass {mass!r} deviates from 1 beyond 1e-10")
+        return self.value(mix) - (a * self.value(pv) + (1.0 - a) * self.value(qv))
+
 
 def _density_at(density, nodes: np.ndarray) -> np.ndarray:
     """Values of a block density at the block measure's nodes: a pmf as
@@ -335,16 +345,8 @@ def duality_functional(model: TargetModel, i: int, complement_value, q) -> float
 def concavity_probe(model: TargetModel, i: int, complement_value, p, q,
                     a: float) -> float:
     """F(a p + (1-a) q) - [a F(p) + (1-a) F(q)]; must be >= -1e-8."""
-    if not 0.0 <= a <= 1.0:
-        raise ValueError("mixture weight must lie in [0, 1]")
     ws = _FunctionalWorkspace(model, i, complement_value)
-    pv = ws.density_values(p)
-    qv = ws.density_values(q)
-    mix = a * pv + (1.0 - a) * qv
-    mass = float(np.sum(ws.weights * mix))
-    if abs(mass - 1.0) > 1e-10:
-        raise ModelError(f"mixture mass {mass!r} deviates from 1 beyond 1e-10")
-    return ws.value(mix) - (a * ws.value(pv) + (1.0 - a) * ws.value(qv))
+    return ws.concavity_slack(ws.density_values(p), ws.density_values(q), a)
 
 
 # --------------------------------------------------------------------------
@@ -580,8 +582,8 @@ def build_report(model: TargetModel, trace: ChainTrace, state: MeanFieldState,
             p_cand = model.random_factor(i, rng)
             q_cand = model.random_factor(i, rng)
             a = float(rng.uniform(0, 1))
-            min_slack = min(min_slack,
-                            concavity_probe(model, i, c_ref, p_cand, q_cand, a))
+            min_slack = min(min_slack, ws.concavity_slack(
+                ws.density_values(p_cand), ws.density_values(q_cand), a))
         info = information_equality_check(model, i, method=options.info_method)
         mc = info_monte_carlo(model, trace, i)
         r_value = squashing_constant(model, state, i)

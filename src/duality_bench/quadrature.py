@@ -113,7 +113,3 @@ class GridFactor:
     def variance(self) -> float:
         m = self.mean()
         return float(np.sum(self.weights * self.values * (self.grid - m) ** 2))
-
-    def expectation(self, fn_values) -> float:
-        """E[f] for f given by its values on the grid."""
-        return float(np.sum(self.weights * self.values * np.asarray(fn_values, dtype=float)))

@@ -75,6 +75,17 @@ class TestCaviUpdate:
         analytic /= quad(analytic, grids[0])
         assert np.max(np.abs(upd.values - analytic)) <= 1e-10
 
+    def test_grid_path_rejects_discrete_model(self):
+        model = DiscreteTarget(TABLE)
+        with pytest.raises(ModelError, match="continuous"):
+            run_cavi(model, CaviConfig(path="grid"))
+        u = DiscreteFactor([0.5, 0.5])
+        with pytest.raises(ModelError, match="continuous"):
+            cavi_update(model, [u, u], 0, path="grid")
+        grids = [GridFactor(np.arange(2.0), np.ones(2)) for _ in range(2)]
+        with pytest.raises(ModelError, match="continuous"):
+            cavi_update(model, grids, 0, path="grid")
+
 
 class TestRunCavi:
     def test_bivariate_converges_to_analytic_fixed_point(self):
@@ -207,6 +218,59 @@ class TestKlObjective:
         model = Unnormalized([0, 0], np.eye(2), make_decomposition([1, 1]))
         with pytest.raises(ModelError, match="normalized target"):
             kl_objective(model, [model.marginal(0), model.marginal(1)])
+
+
+def three_blocks():
+    return GaussianTarget([0.2, -0.5, 1.0],
+                          [[1.0, 0.4, 0.2], [0.4, 2.0, -0.3], [0.2, -0.3, 0.5]],
+                          make_decomposition([1, 1, 1]))
+
+
+def gaussian_table(mean, var, n=257):
+    """N(mean, var) tabulated on n nodes over mean +- 8 sd."""
+    sd = np.sqrt(var)
+    g = np.linspace(mean - 8 * sd, mean + 8 * sd, n)
+    return GridFactor(g, np.exp(normal_logpdf(g, mean, var)))
+
+
+class TestThreeBlockGrid:
+    def test_objective_matches_closed_form(self):
+        model = three_blocks()
+        fp = [model.cavi_fixed_point(i) for i in range(3)]
+        tables = [gaussian_table(f.mean[0], f.covariance[0, 0]) for f in fp]
+        assert kl_objective(model, tables) == pytest.approx(kl_objective(model, fp),
+                                                            abs=1e-12)
+
+    def test_middle_block_update_matches_analytic(self):
+        # block 1's complement offsets [0, 2] are not one contiguous range
+        model = three_blocks()
+        start = [GaussianFactor([0.5], [[0.8]]), GaussianFactor([0.0], [[1.0]]),
+                 GaussianFactor([0.7], [[0.3]])]
+        analytic = cavi_update(model, start, 1)
+        tables = [gaussian_table(f.mean[0], f.covariance[0, 0]) for f in start]
+        # block 1's own values do not enter its update; its grid only has to
+        # cover the result
+        tables[1] = gaussian_table(analytic.mean[0], analytic.covariance[0, 0])
+        upd = cavi_update(model, tables, 1, path="grid")
+        assert upd.mean() == pytest.approx(analytic.mean[0], abs=1e-8)
+        assert upd.variance() == pytest.approx(analytic.covariance[0, 0], abs=1e-8)
+
+    def test_grid_run_descends_to_closed_form_objective(self):
+        # a whole run is ~100 tensor evaluations: 65 nodes (h = sd / 4) keep it
+        # fast, and the trapezoid rule on Gaussians stays exact far below 1e-8
+        model = three_blocks()
+        fp = [model.cavi_fixed_point(i) for i in range(3)]
+        init = []
+        for f in fp:
+            g = gaussian_table(f.mean[0], f.covariance[0, 0], n=65).grid
+            init.append(GridFactor(g, np.exp(-0.5 * g**2)))
+        state = run_cavi(model, CaviConfig(max_cycles=60, tolerance=1e-10, path="grid"),
+                         init_factors=init)
+        assert state.converged
+        assert len(state.objective_history) == 1 + 3 * state.cycles
+        assert np.all(np.diff(state.objective_history) <= 1e-12)
+        assert state.objective_history[-1] == pytest.approx(kl_objective(model, fp),
+                                                            abs=1e-8)
 
 
 class TestStateSerialization:

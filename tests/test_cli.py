@@ -1,6 +1,7 @@
 """CLI contract: subcommands, exit codes, file formats, determinism."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +33,17 @@ def write_config(path, **overrides):
 
 
 DIAGNOSE_GIBBS = {"n_cycles": 30_000, "burn_in": 1000, "seed": 0}
+GRID_TABLE = {"family": "discrete", "support_sizes": [3, 2],
+              "joint_pmf": [0.1, 0.2, 0.15, 0.05, 0.3, 0.2]}
+
+
+def test_artifact_version_matches_project_version():
+    tomllib = pytest.importorskip("tomllib")
+    from duality_bench import __version__
+
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with pyproject.open("rb") as fh:
+        assert tomllib.load(fh)["project"]["version"] == __version__
 
 
 class TestRunGibbs:
@@ -133,6 +145,14 @@ class TestRunCavi:
         assert main(["run-cavi", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert "tolerance" in capsys.readouterr().err
 
+    def test_grid_path_on_discrete_model_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json", model=GRID_TABLE,
+                           cavi={"max_cycles": 10, "tolerance": 1e-10, "path": "grid"})
+        out = tmp_path / "out"
+        assert main(["run-cavi", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "cavi.path" in capsys.readouterr().err
+        assert not (out / "state.json").exists()
+
 
 class TestDiagnose:
     def test_gaussian_pipeline_exits_0(self, tmp_path):
@@ -172,6 +192,20 @@ class TestDiagnose:
         out = tmp_path / "out"
         assert main(["diagnose", "--config", str(cfg), "--out", str(out)]) == 2
         assert "model.block_dims" in capsys.readouterr().err
+        assert calls == []
+        assert not (out / "report.json").exists()
+
+    def test_grid_path_on_discrete_model_exits_2_before_the_chain(self, tmp_path, capsys,
+                                                                   monkeypatch):
+        import duality_bench.cli as cli
+
+        calls = []
+        monkeypatch.setattr(cli, "run_chains", lambda *args: calls.append(args))
+        cfg = write_config(tmp_path / "cfg.json", gibbs=DIAGNOSE_GIBBS, model=GRID_TABLE,
+                           cavi={"max_cycles": 10, "tolerance": 1e-10, "path": "grid"})
+        out = tmp_path / "out"
+        assert main(["diagnose", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "cavi.path" in capsys.readouterr().err
         assert calls == []
         assert not (out / "report.json").exists()
 
