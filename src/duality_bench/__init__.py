@@ -53,6 +53,6 @@ from duality_bench.gibbs import (
     run_chain,
     run_chains,
 )
-from duality_bench.quadrature import GridFactor
+from duality_bench.quadrature import Factor, GridFactor
 
 __version__ = "0.1.1"

@@ -27,10 +27,8 @@ from functools import reduce
 import numpy as np
 
 from duality_bench.core import TargetModel
-from duality_bench.discrete import DiscreteFactor
 from duality_bench.errors import ModelError
-from duality_bench.gaussian import GaussianFactor
-from duality_bench.quadrature import GridFactor, trapezoid_weights
+from duality_bench.quadrature import Factor, GridFactor, trapezoid_weights
 
 __all__ = [
     "CaviConfig",
@@ -38,7 +36,6 @@ __all__ = [
     "cavi_update",
     "run_cavi",
     "kl_objective",
-    "factor_change",
     "state_to_jsonable",
     "state_from_jsonable",
 ]
@@ -92,22 +89,6 @@ class MeanFieldState:
     @property
     def n_blocks(self) -> int:
         return len(self.factors)
-
-
-def factor_change(old, new) -> float:
-    """Sup-norm change between two factors of the same representation."""
-    if isinstance(old, GaussianFactor) and isinstance(new, GaussianFactor):
-        return max(
-            float(np.max(np.abs(old.mean - new.mean))),
-            float(np.max(np.abs(old.covariance - new.covariance))),
-        )
-    if isinstance(old, DiscreteFactor) and isinstance(new, DiscreteFactor):
-        return float(np.max(np.abs(old.pmf - new.pmf)))
-    if isinstance(old, GridFactor) and isinstance(new, GridFactor):
-        if not np.array_equal(old.grid, new.grid):
-            raise ValueError("grid factors live on different grids")
-        return float(np.max(np.abs(old.values - new.values)))
-    raise TypeError(f"cannot compare factors of types {type(old)} and {type(new)}")
 
 
 def _expected_log_joint(model: TargetModel, factors, i: int) -> np.ndarray:
@@ -217,7 +198,7 @@ def run_cavi(model: TargetModel, config: CaviConfig,
         change = 0.0
         for i in range(model.decomposition.n_blocks):
             new = cavi_update(model, factors, i, path=config.path)
-            change = max(change, factor_change(factors[i], new))
+            change = max(change, factors[i].change(new))
             factors[i] = new
             if track_objective:
                 history.append(kl_objective(model, factors))
@@ -258,47 +239,18 @@ def kl_objective(model: TargetModel, factors) -> float:
 
 
 def state_to_jsonable(state: MeanFieldState) -> dict:
-    factors = []
-    for f in state.factors:
-        if isinstance(f, GaussianFactor):
-            factors.append({
-                "type": "gaussian",
-                "mean": f.mean.tolist(),
-                "covariance": f.covariance.tolist(),
-            })
-        elif isinstance(f, DiscreteFactor):
-            factors.append({"type": "discrete", "pmf": f.pmf.tolist()})
-        elif isinstance(f, GridFactor):
-            factors.append({
-                "type": "grid",
-                "grid": f.grid.tolist(),
-                "values": f.values.tolist(),
-            })
-        else:
-            raise TypeError(f"cannot serialize factor of type {type(f)}")
     return {
         "converged": state.converged,
         "cycles": state.cycles,
         "max_change": state.max_change,
         "objective_history": list(state.objective_history),
-        "factors": factors,
+        "factors": [f.to_jsonable() for f in state.factors],
     }
 
 
 def state_from_jsonable(data: dict) -> MeanFieldState:
-    factors = []
-    for fd in data["factors"]:
-        kind = fd.get("type")
-        if kind == "gaussian":
-            factors.append(GaussianFactor(np.asarray(fd["mean"]), np.asarray(fd["covariance"])))
-        elif kind == "discrete":
-            factors.append(DiscreteFactor(np.asarray(fd["pmf"])))
-        elif kind == "grid":
-            factors.append(GridFactor(np.asarray(fd["grid"]), np.asarray(fd["values"])))
-        else:
-            raise ValueError(f"unknown factor type {kind!r}")
     return MeanFieldState(
-        factors=tuple(factors),
+        factors=tuple(Factor.from_jsonable(fd) for fd in data["factors"]),
         cycles=int(data.get("cycles", 0)),
         objective_history=tuple(float(v) for v in data.get("objective_history", ())),
         converged=bool(data.get("converged", False)),

@@ -124,18 +124,14 @@ def cmd_run_gibbs(args) -> int:
     return 0
 
 
-def _cavi_config(cfg: RunConfig, model):
+def cmd_run_cavi(args) -> int:
+    cfg = load_config(args.config)
+    model = cfg.build_model()
     cavi_cfg = cfg.cavi_config()
     if cavi_cfg.path == "grid" and model.is_discrete:
         raise ConfigError("cavi.path: the grid path needs continuous blocks; "
                           "discrete models use \"auto\"")
-    return cavi_cfg
-
-
-def cmd_run_cavi(args) -> int:
-    cfg = load_config(args.config)
-    model = cfg.build_model()
-    state = run_cavi(model, _cavi_config(cfg, model))
+    state = run_cavi(model, cavi_cfg)
     out = _out_dir(args, cfg)
     payload = {
         "artifact_version": __version__,
@@ -146,17 +142,24 @@ def cmd_run_cavi(args) -> int:
     return 0
 
 
-def _load_state_file(path: str):
+def _load_state_file(path: str, model):
+    """The stored CAVI state, checked before any chain runs: one factor per
+    block, of a kind the model's closed forms take (probed by one product KL)."""
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError as exc:
         raise ConfigError(f"diagnostics.state_file: file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"diagnostics.state_file: invalid JSON: {exc}") from exc
+    n_blocks = model.decomposition.n_blocks
     try:
-        return state_from_jsonable(data)
-    except (KeyError, ValueError, TypeError) as exc:
-        raise ConfigError(f"diagnostics.state_file: malformed state: {exc}") from exc
+        state = state_from_jsonable(data)
+        if len(state.factors) != n_blocks:
+            raise ValueError(f"{len(state.factors)} factors for {n_blocks} blocks")
+        model.product_kl(state.factors)
+    except (KeyError, ValueError, TypeError, ModelError) as exc:
+        raise ConfigError(f"diagnostics.state_file: unusable state: {exc}") from exc
+    return state
 
 
 def cmd_diagnose(args) -> int:
@@ -168,13 +171,17 @@ def cmd_diagnose(args) -> int:
         except ModelError as exc:
             raise ConfigError(f"model.block_dims: {exc}") from exc
     state_file = cfg.diagnostics.state_file
-    cavi_cfg = None if state_file is not None else _cavi_config(cfg, model)
+    if state_file is None:
+        state, cavi_cfg = None, cfg.cavi_config()
+        if cavi_cfg.path == "grid":
+            raise ConfigError("cavi.path: the report needs the family's closed-form "
+                              "factors; diagnose uses \"auto\"")
+    else:
+        state = _load_state_file(state_file, model)
     gibbs_cfg = cfg.gibbs_config(seed_override=args.seed)
     traces = run_chains(model, gibbs_cfg, args.parallel_chains)
     trace = pooled_trace(traces)
-    if cavi_cfg is None:
-        state = _load_state_file(state_file)
-    else:
+    if state is None:
         state = run_cavi(model, cavi_cfg)
     report = build_report(model, trace, state, cfg.diagnostics.report_options())
     out = _out_dir(args, cfg)
@@ -193,10 +200,7 @@ def cmd_diagnose(args) -> int:
 
 def cmd_verify_duality(args) -> int:
     cfg = load_config(args.config)
-    family = cfg.model_section.get("family")
-    if family not in ("gaussian", "discrete"):
-        raise ConfigError(f"model.family: unknown family {family!r}")
-    rows = duality_suite(family, cfg.diagnostics.duality_trials,
+    rows = duality_suite(cfg.build_model().echo()["family"], cfg.diagnostics.duality_trials,
                          cfg.diagnostics.suite_seed)
     out = _out_dir(args, cfg)
     write_csv(out / "duality_gaps.csv",

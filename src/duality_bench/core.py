@@ -26,6 +26,9 @@ the densities the duality checks are stated over, each as one primitive:
 - ``random_factor``, ``reference_point`` and ``echo``: candidate factors,
   the default complement point and the report's model description.
 
+The factors these primitives take and return implement the block-density
+contract :class:`duality_bench.quadrature.Factor`.
+
 All types are immutable values after construction and safe to share across
 threads; model evaluations must be pure.
 """

@@ -29,11 +29,15 @@ from scipy.special import logsumexp
 
 from duality_bench.cavi import MeanFieldState
 from duality_bench.core import InfoEquality, TargetModel
-from duality_bench.discrete import DiscreteFactor, _safe_log
 from duality_bench.errors import ModelError, SupportError
 from duality_bench.gaussian import GaussianFactor
 from duality_bench.gibbs import ChainTrace, Estimate, estimate, make_rng
-from duality_bench.quadrature import GRID_POINTS_1D, GridFactor, log_integral, trapezoid_weights
+from duality_bench.quadrature import (
+    GRID_POINTS_1D,
+    HALF_WIDTH_SIGMAS,
+    log_integral,
+    trapezoid_weights,
+)
 
 __all__ = [
     "DualityProblem",
@@ -97,18 +101,14 @@ class DualityProblem:
             object.__setattr__(self, "grid", g)
 
 
-def _log_density_on_grid(density, grid: np.ndarray) -> np.ndarray:
-    if isinstance(density, GaussianFactor):
-        if density.dim != 1:
-            raise ValueError("duality problems are built on 1-D spaces")
-        return np.asarray(density.log_density(grid.reshape(-1, 1)))
-    if isinstance(density, GridFactor):
-        if not np.array_equal(density.grid, grid):
-            raise ValueError("grid factor lives on a different grid")
-        return density.log_values.copy()
-    if callable(density):
-        return np.asarray(density(grid), dtype=float)
-    raise TypeError(f"unsupported density type {type(density)}")
+def _gaussian_cover(*factors) -> np.ndarray:
+    """Nodes over the union of the +-8 sigma spans of 1-D Gaussian factors."""
+    if not factors:
+        raise ValueError("pass an explicit grid for non-Gaussian densities")
+    spans = [(float(f.mean[0]), float(np.sqrt(f.covariance[0, 0]))) for f in factors]
+    lo = min(m - HALF_WIDTH_SIGMAS * s for m, s in spans)
+    hi = max(m + HALF_WIDTH_SIGMAS * s for m, s in spans)
+    return np.linspace(lo, hi, GRID_POINTS_1D)
 
 
 def make_continuous_duality_problem(base, test_fn, candidate,
@@ -120,15 +120,10 @@ def make_continuous_duality_problem(base, test_fn, candidate,
     must have decayed by 1e-12 relative to its peak at both grid ends.
     """
     if grid is None:
-        gaussians = [d for d in (base, candidate) if isinstance(d, GaussianFactor)]
-        if not gaussians:
-            raise ValueError("pass an explicit grid for non-Gaussian densities")
-        lo = min(float(d.mean[0]) - 8.0 * float(np.sqrt(d.covariance[0, 0])) for d in gaussians)
-        hi = max(float(d.mean[0]) + 8.0 * float(np.sqrt(d.covariance[0, 0])) for d in gaussians)
-        grid = np.linspace(lo, hi, GRID_POINTS_1D)
+        grid = _gaussian_cover(*(f for f in (base, candidate) if f.kind == "gaussian"))
     grid = np.asarray(grid, dtype=float)
-    log_p = _log_density_on_grid(base, grid)
-    log_q = _log_density_on_grid(candidate, grid)
+    log_p = base.log_values_at(grid)
+    log_q = candidate.log_values_at(grid)
     h = np.asarray(test_fn(grid), dtype=float)
     if not np.all(np.isfinite(h)):
         raise ModelError("test function must be finite on the working grid")
@@ -152,10 +147,9 @@ def make_discrete_duality_problem(base_pmf, test_values,
         raise ValueError("pmfs must be nonnegative")
     if np.any((q > 0) & (p <= 0)):
         raise SupportError("candidate has mass outside the base support")
-    p = p / p.sum()
-    q = q / q.sum()
-    return DualityProblem(grid=None, log_base=_safe_log(p), test_values=h,
-                          log_candidate=_safe_log(q))
+    with np.errstate(divide="ignore"):
+        log_p, log_q = np.log(p / p.sum()), np.log(q / q.sum())
+    return DualityProblem(grid=None, log_base=log_p, test_values=h, log_candidate=log_q)
 
 
 def duality_gap(problem: DualityProblem) -> float:
@@ -222,17 +216,7 @@ def duality_suite(family: str, trials: int, seed: int) -> list[DualityTrial]:
             tilt_var = 1.0 / tilt_prec
             tilt_mean = tilt_var * (mean_p / var_p + b)
             tilt = GaussianFactor([tilt_mean], [[tilt_var]])
-            lo = min(m - 8.0 * s for m, s in (
-                (mean_p, np.sqrt(var_p)),
-                (float(q.mean[0]), float(np.sqrt(q.covariance[0, 0]))),
-                (tilt_mean, np.sqrt(tilt_var)),
-            ))
-            hi = max(m + 8.0 * s for m, s in (
-                (mean_p, np.sqrt(var_p)),
-                (float(q.mean[0]), float(np.sqrt(q.covariance[0, 0]))),
-                (tilt_mean, np.sqrt(tilt_var)),
-            ))
-            grid = np.linspace(lo, hi, GRID_POINTS_1D)
+            grid = _gaussian_cover(p, q, tilt)
             gap_rand = duality_gap(make_continuous_duality_problem(p, h_fn, q, grid))
             gap_tilt = duality_gap(make_continuous_duality_problem(p, h_fn, tilt, grid))
         else:
@@ -293,13 +277,8 @@ class _FunctionalWorkspace:
         return values / mass
 
     def density_values(self, q) -> np.ndarray:
-        if isinstance(q, np.ndarray):
-            return self._renormalize(q)
-        if isinstance(q, GridFactor):
-            if not np.array_equal(q.grid, self.grid):
-                raise ValueError("grid factor lives on a different grid")
-            return q.values
-        return self._renormalize(_density_at(q, self.grid))
+        """Values of the factor q at the block nodes, renormalized on the measure."""
+        return self._renormalize(q.values_at(self.grid))
 
     def value(self, q_values: np.ndarray) -> float:
         mass = self.weights * q_values
@@ -325,14 +304,6 @@ class _FunctionalWorkspace:
         if abs(mass - 1.0) > 1e-10:
             raise ModelError(f"mixture mass {mass!r} deviates from 1 beyond 1e-10")
         return self.value(mix) - (a * self.value(pv) + (1.0 - a) * self.value(qv))
-
-
-def _density_at(density, nodes: np.ndarray) -> np.ndarray:
-    """Values of a block density at the block measure's nodes: a pmf as
-    stored, any other factor as exp of its log density."""
-    if isinstance(density, DiscreteFactor):
-        return density.pmf
-    return np.exp(np.asarray(density.log_density(nodes.reshape(-1, 1))))
 
 
 def duality_functional(model: TargetModel, i: int, complement_value, q) -> float:
@@ -417,8 +388,8 @@ def squash_pointwise_check(model: TargetModel, state: MeanFieldState, i: int,
     if grid is None:
         grid = model.block_measure(i, SQUASH_GRID_POINTS)[0]
     grid = np.asarray(grid, dtype=float)
-    marg = _density_at(model.marginal(i), grid)
-    return float(np.min(marg - r_value * _density_at(state.factors[i], grid)))
+    marg = model.marginal(i).values_at(grid)
+    return float(np.min(marg - r_value * state.factors[i].values_at(grid)))
 
 
 @dataclass(frozen=True)

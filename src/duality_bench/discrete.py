@@ -22,7 +22,7 @@ from scipy.special import logsumexp
 
 from duality_bench.core import BlockDecomposition, InfoEquality, TargetModel
 from duality_bench.errors import ModelError, SupportError, ZeroMassError
-from duality_bench.quadrature import GRID_POINTS_1D
+from duality_bench.quadrature import GRID_POINTS_1D, Factor
 
 __all__ = ["DiscreteFactor", "DiscreteTarget"]
 
@@ -63,11 +63,12 @@ def _state_indices(values, shape) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class DiscreteFactor:
+class DiscreteFactor(Factor):
     """Pmf over one block's support {0..n-1}; nonnegative, sums to 1."""
 
     pmf: np.ndarray
     _cumsum: np.ndarray = field(init=False, repr=False)
+    kind = "discrete"
 
     def __post_init__(self):
         pmf = np.asarray(self.pmf, dtype=float).reshape(-1)
@@ -95,6 +96,12 @@ class DiscreteFactor:
     @property
     def support_size(self) -> int:
         return self.pmf.size
+
+    def values_at(self, nodes) -> np.ndarray:
+        """The pmf as stored, at the nodes {0..n-1} of the counting measure."""
+        if not np.array_equal(nodes, np.arange(self.pmf.size)):
+            raise ValueError("discrete factor values are taken on its support {0..n-1}")
+        return self.pmf
 
     def log_density(self, x):
         """Log pmf at integer value(s); -inf on zero entries."""

@@ -24,6 +24,7 @@ from duality_bench.errors import ModelError
 from duality_bench.quadrature import (
     GRID_POINTS_1D,
     GRID_POINTS_2D,
+    Factor,
     gaussian_grid,
     log_integral,
     tensor_weights,
@@ -54,13 +55,14 @@ def _spd_cholesky(matrix: np.ndarray, what: str) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class GaussianFactor:
+class GaussianFactor(Factor):
     """Gaussian density on one block: N(mean, covariance), covariance SPD."""
 
     mean: np.ndarray
     covariance: np.ndarray
     _chol: np.ndarray = field(init=False, repr=False)
     _log_det: float = field(init=False, repr=False)
+    kind = "gaussian"
 
     def __post_init__(self):
         mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
@@ -108,8 +110,17 @@ class GaussianFactor:
         out = -0.5 * (self.dim * _LOG_2PI + self._log_det + quad)
         return float(out[0]) if single else out
 
-    def sample(self, rng: np.random.Generator) -> np.ndarray:
-        return self.mean + self._chol @ rng.standard_normal(self.dim)
+    def log_values_at(self, nodes) -> np.ndarray:
+        return np.asarray(self.log_density(np.asarray(nodes, dtype=float).reshape(-1, 1)))
+
+    def values_at(self, nodes) -> np.ndarray:
+        return np.exp(self.log_values_at(nodes))
+
+    def sample(self, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
+        """One draw (d,), or ``size`` draws (size, d)."""
+        if size is None:
+            return self.mean + self._chol @ rng.standard_normal(self.dim)
+        return self.mean + rng.standard_normal((size, self.dim)) @ self._chol.T
 
     def entropy(self) -> float:
         return 0.5 * self.dim * (_LOG_2PI + 1.0) + 0.5 * self._log_det
@@ -165,18 +176,15 @@ class GaussianTarget(TargetModel):
             raise ModelError(
                 f"covariance condition number {eigvals.max() / eigvals.min():.3e} exceeds 1e8"
             )
-        self._mean = mean
-        self._cov = cov
+        self._joint = GaussianFactor(mean, cov)   # freezes mean and cov
+        self._mean, self._cov = self._joint.mean, self._joint.covariance
         self._decomposition = decomposition
-        self._chol = _spd_cholesky(cov, "covariance")
-        self._log_det = 2.0 * float(np.sum(np.log(np.diag(self._chol))))
         c, low = cho_factor(cov, lower=True)
         self._precision = cho_solve((c, low), np.eye(d))
         self._precision = 0.5 * (self._precision + self._precision.T)
         if np.max(np.abs(self._precision @ cov - np.eye(d))) > PRECISION_CHECK_TOL:
             raise ModelError("precision @ covariance deviates from identity beyond 1e-8")
-        for arr in (self._mean, self._cov, self._precision, self._chol):
-            arr.setflags(write=False)
+        self._precision.setflags(write=False)
         self._blocks = tuple(self._block_cache(i) for i in range(decomposition.n_blocks))
 
     def _block_cache(self, i: int) -> dict:
@@ -239,13 +247,7 @@ class GaussianTarget(TargetModel):
 
     def log_density(self, theta):
         """Normalized log posterior; accepts (D,) or (n, D)."""
-        theta = np.asarray(theta, dtype=float)
-        single = theta.ndim == 1
-        pts = np.atleast_2d(theta)
-        z = solve_triangular(self._chol, (pts - self._mean).T, lower=True)
-        quad = np.sum(z * z, axis=0)
-        out = -0.5 * (self._mean.size * _LOG_2PI + self._log_det + quad)
-        return float(out[0]) if single else out
+        return self._joint.log_density(theta)
 
     def log_unnormalized_posterior(self, theta) -> float:
         return self.log_density(theta)
@@ -451,10 +453,7 @@ class GaussianTarget(TargetModel):
 
     def sample(self, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
         """Exact joint draw(s) from the posterior."""
-        if size is None:
-            return self._mean + self._chol @ rng.standard_normal(self._mean.size)
-        z = rng.standard_normal((size, self._mean.size))
-        return self._mean + z @ self._chol.T
+        return self._joint.sample(rng, size)
 
     def __eq__(self, other) -> bool:
         return (

@@ -1,4 +1,10 @@
-"""Trapezoid quadrature, log-space integrals, and grid-tabulated densities.
+"""Trapezoid quadrature, log-space integrals, the block-factor contract, and
+grid-tabulated densities.
+
+A :class:`Factor` is one block density q_i of a CAVI product. The engines use
+only its contract: ``values_at``/``log_values_at`` on a block measure's nodes,
+the sup-norm ``change`` to a factor of the same kind, and the JSON form
+``{"type": kind, **init fields}`` (``to_jsonable``/``Factor.from_jsonable``).
 
 Reference rules used throughout: 4097-point trapezoid on [mu - 8 sigma,
 mu + 8 sigma] per 1-D block, 513-per-axis tensor grids for 2-D integrals.
@@ -10,7 +16,8 @@ Exp-then-integrate steps go through log-sum-exp to avoid underflow.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from abc import ABC, abstractmethod
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy.special import logsumexp
@@ -20,6 +27,7 @@ __all__ = [
     "gaussian_grid",
     "tensor_weights",
     "log_integral",
+    "Factor",
     "GridFactor",
 ]
 
@@ -65,8 +73,50 @@ def log_integral(log_values, grid) -> float:
     return float(logsumexp(np.asarray(log_values, dtype=float) + logw))
 
 
+class Factor(ABC):
+    """A block density, implemented by frozen dataclasses whose init fields
+    are arrays; ``kind`` names the subclass in the JSON form."""
+
+    kind: str
+
+    @abstractmethod
+    def values_at(self, nodes) -> np.ndarray:
+        """Density at the nodes of a 1-D block measure."""
+
+    def log_values_at(self, nodes) -> np.ndarray:
+        """Log density at the nodes of a 1-D block measure; -inf where it is 0."""
+        with np.errstate(divide="ignore"):
+            return np.log(self.values_at(nodes))
+
+    @classmethod
+    def _init_fields(cls) -> list[str]:
+        return [f.name for f in fields(cls) if f.init]
+
+    def change(self, other: "Factor") -> float:
+        """Sup-norm change over the init fields; both factors of one kind."""
+        if type(other) is not type(self):
+            raise TypeError(f"cannot compare factors of types {type(self)} and {type(other)}")
+        return max(float(np.max(np.abs(getattr(self, name) - getattr(other, name))))
+                   for name in self._init_fields())
+
+    def to_jsonable(self) -> dict:
+        return {"type": self.kind,
+                **{name: getattr(self, name).tolist() for name in self._init_fields()}}
+
+    @staticmethod
+    def from_jsonable(data: dict) -> "Factor":
+        """The factor of ``data["type"]``; KeyError or TypeError on a malformed
+        ``data``, ValueError on an unknown type."""
+        kinds = {cls.kind: cls for cls in Factor.__subclasses__()}
+        kind = data["type"]
+        if kind not in kinds:
+            raise ValueError(f"unknown factor type {kind!r}")
+        cls = kinds[kind]
+        return cls(**{name: np.asarray(data[name]) for name in cls._init_fields()})
+
+
 @dataclass(frozen=True)
-class GridFactor:
+class GridFactor(Factor):
     """Density tabulated on a fixed 1-D grid, trapezoid-normalized.
 
     The generic (non-analytic) CAVI path and the diagnostics mixture probes
@@ -77,6 +127,7 @@ class GridFactor:
     grid: np.ndarray
     values: np.ndarray
     log_values: np.ndarray = field(init=False, repr=False)
+    kind = "grid"
 
     def __post_init__(self):
         grid = np.asarray(self.grid, dtype=float)
@@ -102,6 +153,16 @@ class GridFactor:
     def from_log_values(cls, grid, log_values) -> "GridFactor":
         log_values = np.asarray(log_values, dtype=float)
         return cls(grid=grid, values=np.exp(log_values - np.max(log_values)))
+
+    def values_at(self, nodes) -> np.ndarray:
+        if not np.array_equal(self.grid, nodes):
+            raise ValueError("grid factor lives on a different grid")
+        return self.values
+
+    def change(self, other: Factor) -> float:
+        if type(other) is GridFactor and not np.array_equal(self.grid, other.grid):
+            raise ValueError("grid factors live on different grids")
+        return super().change(other)
 
     @property
     def weights(self) -> np.ndarray:

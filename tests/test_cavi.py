@@ -17,7 +17,7 @@ from duality_bench import (
     make_decomposition,
     run_cavi,
 )
-from duality_bench.cavi import factor_change, state_from_jsonable, state_to_jsonable
+from duality_bench.cavi import state_from_jsonable, state_to_jsonable
 
 from oracles import minimize_block_kl, normal_logpdf, quad, random_table, trap_weights
 
@@ -137,7 +137,7 @@ class TestRunCavi:
         assert state.converged
         for i in range(2):
             refreshed = cavi_update(model, list(state.factors), i)
-            assert factor_change(state.factors[i], refreshed) <= tol
+            assert state.factors[i].change(refreshed) <= tol
 
     def test_converged_factors_match_brute_force_coordinate_minimizer(self):
         rng = np.random.default_rng(14)
@@ -288,3 +288,45 @@ class TestStateSerialization:
         back = state_from_jsonable(state_to_jsonable(state))
         for fa, fb in zip(state.factors, back.factors):
             np.testing.assert_array_equal(fa.pmf, fb.pmf)
+
+    def test_round_trip_grid(self):
+        model = three_blocks()
+        init = [gaussian_table(0.0, 1.0, n=33), gaussian_table(0.5, 2.0, n=17),
+                gaussian_table(-0.2, 0.5, n=9)]
+        state = run_cavi(model, CaviConfig(max_cycles=2, path="grid"), init_factors=init)
+        data = state_to_jsonable(state)
+        assert [list(f) for f in data["factors"]] == [["type", "grid", "values"]] * 3
+        back = state_from_jsonable(data)
+        assert state_to_jsonable(back) == data
+        for fa, fb in zip(state.factors, back.factors):
+            assert isinstance(fb, GridFactor)
+            np.testing.assert_array_equal(fa.grid, fb.grid)
+            np.testing.assert_array_equal(fa.values, fb.values)
+
+    def test_unknown_factor_type_rejected(self):
+        data = state_to_jsonable(run_cavi(bivariate(0.5), CaviConfig()))
+        data["factors"][1]["type"] = "student_t"
+        with pytest.raises(ValueError, match="unknown factor type 'student_t'"):
+            state_from_jsonable(data)
+
+
+class TestFactorChange:
+    def test_sup_norm_over_every_parameter(self):
+        a = GaussianFactor([0.0, 1.0], [[1.0, 0.2], [0.2, 1.0]])
+        b = GaussianFactor([0.1, 1.0], [[1.0, -0.3], [-0.3, 1.0]])
+        assert a.change(b) == pytest.approx(0.5, abs=1e-15)
+        assert DiscreteFactor([0.2, 0.8]).change(DiscreteFactor([0.5, 0.5])) == \
+            pytest.approx(0.3, abs=1e-15)
+
+    def test_mixed_kinds_raise_type_error(self):
+        g = gaussian_table(0.0, 1.0, n=9)
+        with pytest.raises(TypeError):
+            GaussianFactor([0.0], [[1.0]]).change(g)
+        with pytest.raises(TypeError):
+            g.change(GaussianFactor([0.0], [[1.0]]))
+        with pytest.raises(TypeError):
+            DiscreteFactor([0.5, 0.5]).change(GaussianFactor([0.0], [[1.0]]))
+
+    def test_grid_factors_on_different_grids_raise_value_error(self):
+        with pytest.raises(ValueError, match="different grids"):
+            gaussian_table(0.0, 1.0, n=9).change(gaussian_table(0.0, 2.0, n=9))

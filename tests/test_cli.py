@@ -35,6 +35,7 @@ def write_config(path, **overrides):
 DIAGNOSE_GIBBS = {"n_cycles": 30_000, "burn_in": 1000, "seed": 0}
 GRID_TABLE = {"family": "discrete", "support_sizes": [3, 2],
               "joint_pmf": [0.1, 0.2, 0.15, 0.05, 0.3, 0.2]}
+GRID_FACTOR = {"type": "grid", "grid": [-1.0, 0.0, 1.0], "values": [0.5, 1.0, 0.5]}
 
 
 def test_artifact_version_matches_project_version():
@@ -209,6 +210,44 @@ class TestDiagnose:
         assert calls == []
         assert not (out / "report.json").exists()
 
+    @pytest.mark.parametrize("stored", [
+        None,                                   # missing file
+        {"factors": [GRID_FACTOR, GRID_FACTOR]},  # grid factors on a Gaussian model
+        {"factors": [GRID_FACTOR]},             # one factor for two blocks
+        {"factors": [1.0, [0.5, 0.5]]},         # entries that are not factor objects
+    ])
+    def test_unusable_state_file_exits_2_before_the_chain(self, tmp_path, capsys,
+                                                          monkeypatch, stored):
+        import duality_bench.cli as cli
+
+        calls = []
+        monkeypatch.setattr(cli, "run_chains", lambda *args: calls.append(args))
+        state_file = tmp_path / "state.json"
+        if stored is not None:
+            state_file.write_text(json.dumps(stored))
+        cfg = write_config(tmp_path / "cfg.json", gibbs=DIAGNOSE_GIBBS,
+                           diagnostics={"suite_seed": 1, "state_file": str(state_file)})
+        out = tmp_path / "out"
+        assert main(["diagnose", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "diagnostics.state_file" in capsys.readouterr().err
+        assert calls == []
+        assert not (out / "report.json").exists()
+
+    def test_grid_path_on_gaussian_model_exits_2_before_the_chain(self, tmp_path, capsys,
+                                                                   monkeypatch):
+        import duality_bench.cli as cli
+
+        calls = []
+        monkeypatch.setattr(cli, "run_chains", lambda *args: calls.append(args))
+        monkeypatch.setattr(cli, "run_cavi", lambda *args: calls.append(args))
+        cfg = write_config(tmp_path / "cfg.json", gibbs=DIAGNOSE_GIBBS,
+                           cavi={"max_cycles": 10, "tolerance": 1e-10, "path": "grid"})
+        out = tmp_path / "out"
+        assert main(["diagnose", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "cavi.path" in capsys.readouterr().err
+        assert calls == []
+        assert not (out / "report.json").exists()
+
     def test_corrupted_state_file_exits_1_with_squash_failure(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json", gibbs=DIAGNOSE_GIBBS)
         out = tmp_path / "cavi"
@@ -260,6 +299,17 @@ class TestVerifyDuality:
         main(["verify-duality", "--config", str(cfg), "--out", str(out2)])
         assert ((out1 / "duality_gaps.csv").read_bytes()
                 == (out2 / "duality_gaps.csv").read_bytes())
+
+    def test_invalid_model_exits_2(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path / "cfg.json",
+            model={"family": "gaussian", "mean": [0.0, 0.0],
+                   "covariance": [[1.0, 2.0], [2.0, 1.0]], "block_dims": [1, 1]},
+        )
+        out = tmp_path / "out"
+        assert main(["verify-duality", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "covariance eigenvalues" in capsys.readouterr().err
+        assert not (out / "duality_gaps.csv").exists()
 
     def test_discrete_family(self, tmp_path):
         cfg = write_config(

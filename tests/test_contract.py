@@ -70,12 +70,34 @@ def test_engines_give_identical_results_through_the_contract(make_model):
 
 ENGINES = ["gibbs.py", "cavi.py", "diagnostics.py"]
 SOURCE = Path(__file__).resolve().parents[1] / "src" / "duality_bench"
+FACTORS = {"GaussianFactor", "DiscreteFactor", "GridFactor"}
+# the grid objective is the CAVI engine's own quadrature over its own GridFactor
+ALLOWED_FACTOR_TESTS = {("cavi.py", "kl_objective", "GridFactor")}
+
+
+def _factor_isinstance_sites(tree) -> list[tuple[str | None, str]]:
+    """(enclosing function, factor class) of each isinstance test on a factor class."""
+    sites = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+            named = {getattr(n, "id", None) for n in ast.walk(node.args[1])}
+            sites.extend((scope, name) for name in sorted(named & FACTORS))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, None)
+    return sites
 
 
 @pytest.mark.parametrize("engine", ENGINES)
 def test_engines_never_name_a_family(engine):
     """No engine names a target class or reads a private attribute of the model;
-    gibbs.py imports neither family module."""
+    gibbs.py and cavi.py import neither family module, diagnostics.py imports no
+    private name from one, and cavi.py and diagnostics.py reach factors through
+    the Factor contract, not by isinstance on a factor class."""
     tree = ast.parse((SOURCE / engine).read_text())
     families = {"GaussianTarget", "DiscreteTarget"}
     for node in ast.walk(tree):
@@ -85,7 +107,13 @@ def test_engines_never_name_a_family(engine):
         if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
             assert not (node.value.id == "model" and node.attr.startswith("_")), \
                 f"{engine}:{node.lineno} reads model.{node.attr}"
-        if engine == "gibbs.py" and isinstance(node, (ast.Import, ast.ImportFrom)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
             modules = [getattr(node, "module", None) or ""] + [a.name for a in node.names]
-            assert not any(m.split(".")[-1] in ("gaussian", "discrete") for m in modules), \
-                f"gibbs.py:{node.lineno} imports a family module"
+            if not any(m.split(".")[-1] in ("gaussian", "discrete") for m in modules):
+                continue
+            assert engine == "diagnostics.py", f"{engine}:{node.lineno} imports a family module"
+            private = [a.name for a in node.names if a.name.startswith("_")]
+            assert not private, f"{engine}:{node.lineno} imports {private} from a family module"
+    sites = [(engine, scope, name) for scope, name in _factor_isinstance_sites(tree)]
+    assert set(sites) <= ALLOWED_FACTOR_TESTS and len(sites) == len(set(sites)), \
+        f"isinstance on a factor class: {sites}"
