@@ -55,4 +55,4 @@ from duality_bench.gibbs import (
 )
 from duality_bench.quadrature import Factor, GridFactor
 
-__version__ = "0.1.1"
+__version__ = "0.1.2"

@@ -40,8 +40,10 @@ __all__ = [
     "state_from_jsonable",
 ]
 
-# Complement tensors beyond this many cells would silently eat memory; the
-# grid path is meant for K=2 at the reference 4097-point grids.
+# Bound on one block's complement tensor (the product of the other blocks'
+# grid sizes), which would otherwise silently eat memory; it also sets the row
+# chunk of each log_density call. Any K passes when the grids are small enough:
+# the reference 4097-node grids fit K=2, and K=3 takes up to 2896 nodes a block.
 MAX_GRID_CELLS = 2**23
 
 
@@ -137,6 +139,21 @@ def _expected_log_joint(model: TargetModel, factors, i: int) -> np.ndarray:
     return expected
 
 
+def _step(model: TargetModel, factors, i: int, path: str):
+    """Factor i's coordinate update, with the expectation E_i the grid path
+    built it from (None on the closed-form path)."""
+    model.decomposition.check_index(i)
+    if path == "auto":
+        update = model.cavi_update(factors, i)
+        if update is not None:
+            return update, None
+        path = "grid"
+    if path == "grid":
+        expected = _expected_log_joint(model, factors, i)
+        return GridFactor.from_log_values(factors[i].grid, expected), expected
+    raise ValueError(f"unknown path {path!r}")
+
+
 def cavi_update(model: TargetModel, factors, i: int, path: str = "auto"):
     """One coordinate update of factor i, other factors held fixed.
 
@@ -144,16 +161,7 @@ def cavi_update(model: TargetModel, factors, i: int, path: str = "auto"):
     increases the KL objective (coordinate descent on the divergence to the
     posterior).
     """
-    model.decomposition.check_index(i)
-    if path == "auto":
-        update = model.cavi_update(factors, i)
-        if update is not None:
-            return update
-        path = "grid"
-    if path == "grid":
-        expected = _expected_log_joint(model, factors, i)
-        return GridFactor.from_log_values(factors[i].grid, expected)
-    raise ValueError(f"unknown path {path!r}")
+    return _step(model, factors, i, path)[0]
 
 
 def _grid_factors(model: TargetModel, strategy: str) -> list:
@@ -197,11 +205,13 @@ def run_cavi(model: TargetModel, config: CaviConfig,
     for _ in range(config.max_cycles):
         change = 0.0
         for i in range(model.decomposition.n_blocks):
-            new = cavi_update(model, factors, i, path=config.path)
+            new, expected = _step(model, factors, i, config.path)
             change = max(change, factors[i].change(new))
             factors[i] = new
             if track_objective:
-                history.append(kl_objective(model, factors))
+                # E_i depends only on the factors j != i, so it still holds
+                history.append(kl_objective(model, factors) if expected is None
+                               else _grid_kl(model, factors, i, expected))
         cycles += 1
         if change < config.tolerance:
             converged = True
@@ -218,21 +228,28 @@ def run_cavi(model: TargetModel, config: CaviConfig,
 def kl_objective(model: TargetModel, factors) -> float:
     """KL(product of factors || posterior), >= 0.
 
-    Tensor trapezoid quadrature for grid factors (any K the grid update
-    accepts), the target's closed form (``TargetModel.product_kl``)
-    otherwise. Needs a normalized target (known evidence).
+    For grid factors, the tensor-quadrature form of :func:`_grid_kl` on block
+    0's expectation (any K the grid update accepts); the target's closed form
+    (``TargetModel.product_kl``) otherwise. Needs a normalized target (known
+    evidence). ``run_cavi`` calls it on grid factors only for the starting
+    point: after a grid update it reuses that update's expectation.
     """
     factors = list(factors)
     if model.log_evidence is None:
         raise ModelError("objective requires normalized target (unknown evidence)")
     if all(isinstance(f, GridFactor) for f in factors):
-        # sum_j E_qj[log q_j] - E_q0[E_q-0[log joint]] + log Z
-        masses = [f.weights * f.values for f in factors]
-        entropy_terms = sum(float(np.sum(m[m > 0] * f.log_values[m > 0]))
-                            for m, f in zip(masses, factors))
-        cross = float(np.sum(masses[0] * _expected_log_joint(model, factors, 0)))
-        return entropy_terms - cross + model.log_evidence
+        return _grid_kl(model, factors, 0, _expected_log_joint(model, factors, 0))
     return model.product_kl(factors)
+
+
+def _grid_kl(model: TargetModel, factors, i: int, expected: np.ndarray) -> float:
+    """KL of grid factors from E_i = ``_expected_log_joint(model, factors, i)``:
+    sum_j E_qj[log q_j] - E_qi[E_i] + log Z."""
+    masses = [f.weights * f.values for f in factors]
+    entropy_terms = sum(float(np.sum(m[m > 0] * f.log_values[m > 0]))
+                        for m, f in zip(masses, factors))
+    cross = float(np.sum(masses[i] * expected))
+    return entropy_terms - cross + model.log_evidence
 
 
 # --- JSON forms (converged-state export / import) ---------------------------

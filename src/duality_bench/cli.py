@@ -124,13 +124,25 @@ def cmd_run_gibbs(args) -> int:
     return 0
 
 
+def _require_block_measures(model, key: str) -> None:
+    """Exit 2 naming ``key`` unless every block has a measure (the report
+    and the grid path both work on them)."""
+    for i in range(model.decomposition.n_blocks):
+        try:
+            model.block_measure(i)
+        except ModelError as exc:
+            raise ConfigError(f"{key}: {exc}") from exc
+
+
 def cmd_run_cavi(args) -> int:
     cfg = load_config(args.config)
     model = cfg.build_model()
     cavi_cfg = cfg.cavi_config()
-    if cavi_cfg.path == "grid" and model.is_discrete:
-        raise ConfigError("cavi.path: the grid path needs continuous blocks; "
-                          "discrete models use \"auto\"")
+    if cavi_cfg.path == "grid":
+        if model.is_discrete:
+            raise ConfigError("cavi.path: the grid path needs continuous blocks; "
+                              "discrete models use \"auto\"")
+        _require_block_measures(model, "cavi.path")
     state = run_cavi(model, cavi_cfg)
     out = _out_dir(args, cfg)
     payload = {
@@ -144,7 +156,8 @@ def cmd_run_cavi(args) -> int:
 
 def _load_state_file(path: str, model):
     """The stored CAVI state, checked before any chain runs: one factor per
-    block, of a kind the model's closed forms take (probed by one product KL)."""
+    block, of a kind the model's closed forms take, whose product has a finite
+    KL to the target (probed by one product KL)."""
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError as exc:
@@ -156,7 +169,11 @@ def _load_state_file(path: str, model):
         state = state_from_jsonable(data)
         if len(state.factors) != n_blocks:
             raise ValueError(f"{len(state.factors)} factors for {n_blocks} blocks")
-        model.product_kl(state.factors)
+        with np.errstate(invalid="ignore"):   # log 0 - log 0 on cells without mass
+            kl = model.product_kl(state.factors)
+        if not np.isfinite(kl):
+            raise ValueError(f"the factor product has KL {kl} to the target "
+                             "(mass where the target has none)")
     except (KeyError, ValueError, TypeError, ModelError) as exc:
         raise ConfigError(f"diagnostics.state_file: unusable state: {exc}") from exc
     return state
@@ -165,11 +182,7 @@ def _load_state_file(path: str, model):
 def cmd_diagnose(args) -> int:
     cfg = load_config(args.config)
     model = cfg.build_model()
-    for i in range(model.decomposition.n_blocks):
-        try:
-            model.block_measure(i)   # the report works on every block's measure
-        except ModelError as exc:
-            raise ConfigError(f"model.block_dims: {exc}") from exc
+    _require_block_measures(model, "model.block_dims")
     state_file = cfg.diagnostics.state_file
     if state_file is None:
         state, cavi_cfg = None, cfg.cavi_config()

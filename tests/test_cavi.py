@@ -273,6 +273,47 @@ class TestThreeBlockGrid:
                                                             abs=1e-8)
 
 
+def grid_run(model):
+    """A grid run from standard-normal tables on 65 nodes over each block's
+    fixed-point +- 8 sd."""
+    init = []
+    for i in range(model.decomposition.n_blocks):
+        fp = model.cavi_fixed_point(i)
+        g = gaussian_table(fp.mean[0], fp.covariance[0, 0], n=65).grid
+        init.append(GridFactor(g, np.exp(-0.5 * g**2)))
+    return run_cavi(model, CaviConfig(max_cycles=60, tolerance=1e-10, path="grid"),
+                    init_factors=init)
+
+
+class TestGridObjectiveReuse:
+    @pytest.mark.parametrize("model", [bivariate(0.5), three_blocks()], ids=["K2", "K3"])
+    def test_one_tensor_evaluation_per_update_plus_the_start(self, model, monkeypatch):
+        import duality_bench.cavi as cavi
+
+        calls = []
+        evaluate = cavi._expected_log_joint
+
+        def counting(*args):
+            calls.append(args[2])
+            return evaluate(*args)
+
+        monkeypatch.setattr(cavi, "_expected_log_joint", counting)
+        state = grid_run(model)
+        k = model.decomposition.n_blocks
+        assert state.cycles >= 2
+        # block 0 once for the starting objective, then each update's block
+        assert len(calls) == 1 + k * state.cycles
+        assert calls == [0] + list(range(k)) * state.cycles
+
+    @pytest.mark.parametrize("model", [bivariate(0.5), three_blocks()], ids=["K2", "K3"])
+    def test_last_objective_matches_a_fresh_evaluation(self, model):
+        # the last entry comes from block K-1's expectation, a fresh
+        # kl_objective from block 0's: the same tensor sum in another order
+        state = grid_run(model)
+        fresh = kl_objective(model, state.factors)
+        assert state.objective_history[-1] == pytest.approx(fresh, abs=1e-14)
+
+
 class TestStateSerialization:
     def test_round_trip_gaussian(self):
         state = run_cavi(bivariate(0.5), CaviConfig())

@@ -36,6 +36,9 @@ DIAGNOSE_GIBBS = {"n_cycles": 30_000, "burn_in": 1000, "seed": 0}
 GRID_TABLE = {"family": "discrete", "support_sizes": [3, 2],
               "joint_pmf": [0.1, 0.2, 0.15, 0.05, 0.3, 0.2]}
 GRID_FACTOR = {"type": "grid", "grid": [-1.0, 0.0, 1.0], "values": [0.5, 1.0, 0.5]}
+VECTOR_BLOCK_MODEL = {"family": "gaussian", "mean": [0.0, 0.0, 0.0],
+                      "covariance": [[1.0, 0.5, 0.0], [0.5, 1.0, 0.2], [0.0, 0.2, 1.0]],
+                      "block_dims": [1, 2]}
 
 
 def test_artifact_version_matches_project_version():
@@ -154,6 +157,19 @@ class TestRunCavi:
         assert "cavi.path" in capsys.readouterr().err
         assert not (out / "state.json").exists()
 
+    def test_grid_path_on_vector_block_exits_2(self, tmp_path, capsys, monkeypatch):
+        import duality_bench.cli as cli
+
+        calls = []
+        monkeypatch.setattr(cli, "run_cavi", lambda *args: calls.append(args))
+        cfg = write_config(tmp_path / "cfg.json", model=VECTOR_BLOCK_MODEL,
+                           cavi={"max_cycles": 10, "tolerance": 1e-10, "path": "grid"})
+        out = tmp_path / "out"
+        assert main(["run-cavi", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "cavi.path" in capsys.readouterr().err
+        assert calls == []
+        assert not (out / "state.json").exists()
+
 
 class TestDiagnose:
     def test_gaussian_pipeline_exits_0(self, tmp_path):
@@ -185,11 +201,8 @@ class TestDiagnose:
 
         calls = []
         monkeypatch.setattr(cli, "run_chains", lambda *args: calls.append(args))
-        cfg = write_config(tmp_path / "cfg.json", gibbs=DIAGNOSE_GIBBS, model={
-            "family": "gaussian", "mean": [0.0, 0.0, 0.0],
-            "covariance": [[1.0, 0.5, 0.0], [0.5, 1.0, 0.2], [0.0, 0.2, 1.0]],
-            "block_dims": [1, 2],
-        })
+        cfg = write_config(tmp_path / "cfg.json", gibbs=DIAGNOSE_GIBBS,
+                           model=VECTOR_BLOCK_MODEL)
         out = tmp_path / "out"
         assert main(["diagnose", "--config", str(cfg), "--out", str(out)]) == 2
         assert "model.block_dims" in capsys.readouterr().err
@@ -215,6 +228,10 @@ class TestDiagnose:
         {"factors": [GRID_FACTOR, GRID_FACTOR]},  # grid factors on a Gaussian model
         {"factors": [GRID_FACTOR]},             # one factor for two blocks
         {"factors": [1.0, [0.5, 0.5]]},         # entries that are not factor objects
+        {"model": {"family": "discrete", "support_sizes": [2, 2],   # mass on zero cells
+                   "joint_pmf": [0.5, 0.0, 0.0, 0.5]},
+         "factors": [{"type": "discrete", "pmf": [0.0, 1.0]},
+                     {"type": "discrete", "pmf": [1.0, 0.0]}]},
     ])
     def test_unusable_state_file_exits_2_before_the_chain(self, tmp_path, capsys,
                                                           monkeypatch, stored):
@@ -225,7 +242,9 @@ class TestDiagnose:
         state_file = tmp_path / "state.json"
         if stored is not None:
             state_file.write_text(json.dumps(stored))
-        cfg = write_config(tmp_path / "cfg.json", gibbs=DIAGNOSE_GIBBS,
+        # a state.json echoes its model; without the echo, the default Gaussian
+        model = {"model": stored["model"]} if stored and "model" in stored else {}
+        cfg = write_config(tmp_path / "cfg.json", gibbs=DIAGNOSE_GIBBS, **model,
                            diagnostics={"suite_seed": 1, "state_file": str(state_file)})
         out = tmp_path / "out"
         assert main(["diagnose", "--config", str(cfg), "--out", str(out)]) == 2
