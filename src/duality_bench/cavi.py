@@ -34,6 +34,7 @@ __all__ = [
     "CaviConfig",
     "MeanFieldState",
     "cavi_update",
+    "initial_factors",
     "run_cavi",
     "kl_objective",
     "state_to_jsonable",
@@ -164,16 +165,18 @@ def cavi_update(model: TargetModel, factors, i: int, path: str = "auto"):
     return _step(model, factors, i, path)[0]
 
 
-def _grid_factors(model: TargetModel, strategy: str) -> list:
-    """Standard-normal tables on the block measures' nodes (the grid path's
-    only initializer)."""
-    if strategy not in ("default", "standard_normal"):
-        raise ModelError(f"grid path has no {strategy!r} initializer")
-    factors = []
-    for i in range(model.decomposition.n_blocks):
-        g = model.block_measure(i)[0]
-        factors.append(GridFactor(g, np.exp(-0.5 * g**2)))
-    return factors
+def initial_factors(model: TargetModel, config: CaviConfig) -> list:
+    """``run_cavi``'s starting factors for ``config.init``: the target's own,
+    or, on the grid path or for a target without them, standard-normal tables
+    on the block measures' nodes. ModelError when there is no such initializer.
+    """
+    factors = None if config.path == "grid" else model.initial_factors(config.init)
+    if factors is not None:
+        return factors
+    if config.init not in ("default", "standard_normal"):
+        raise ModelError(f"grid path has no {config.init!r} initializer")
+    grids = [model.block_measure(i)[0] for i in range(model.decomposition.n_blocks)]
+    return [GridFactor(g, np.exp(-0.5 * g**2)) for g in grids]
 
 
 def run_cavi(model: TargetModel, config: CaviConfig,
@@ -184,12 +187,7 @@ def run_cavi(model: TargetModel, config: CaviConfig,
     ``converged=False``. The objective history is tracked whenever the model
     is normalized (both built-in families are).
     """
-    if init_factors is not None:
-        factors = list(init_factors)
-    else:
-        factors = None if config.path == "grid" else model.initial_factors(config.init)
-        if factors is None:
-            factors = _grid_factors(model, config.init)
+    factors = list(initial_factors(model, config) if init_factors is None else init_factors)
     history: list[float] = []
     track_objective = model.log_evidence is not None
     if track_objective:

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from duality_bench import __version__
-from duality_bench.cavi import run_cavi, state_from_jsonable, state_to_jsonable
+from duality_bench.cavi import initial_factors, run_cavi, state_from_jsonable, state_to_jsonable
 from duality_bench.config import RunConfig, load_config
 from duality_bench.diagnostics import ATTAINMENT_TOL, GAP_TOL, build_report, duality_suite
 from duality_bench.errors import ConfigError, DualityBenchError, ModelError
@@ -134,6 +134,15 @@ def _require_block_measures(model, key: str) -> None:
             raise ConfigError(f"{key}: {exc}") from exc
 
 
+def _initial_factors(model, cavi_cfg) -> list:
+    """The CAVI starting factors, made before any work: exit 2 naming
+    ``cavi.init`` when the model or the path has no such initializer."""
+    try:
+        return initial_factors(model, cavi_cfg)
+    except ModelError as exc:
+        raise ConfigError(f"cavi.init: {exc}") from exc
+
+
 def cmd_run_cavi(args) -> int:
     cfg = load_config(args.config)
     model = cfg.build_model()
@@ -143,7 +152,7 @@ def cmd_run_cavi(args) -> int:
             raise ConfigError("cavi.path: the grid path needs continuous blocks; "
                               "discrete models use \"auto\"")
         _require_block_measures(model, "cavi.path")
-    state = run_cavi(model, cavi_cfg)
+    state = run_cavi(model, cavi_cfg, _initial_factors(model, cavi_cfg))
     out = _out_dir(args, cfg)
     payload = {
         "artifact_version": __version__,
@@ -189,13 +198,14 @@ def cmd_diagnose(args) -> int:
         if cavi_cfg.path == "grid":
             raise ConfigError("cavi.path: the report needs the family's closed-form "
                               "factors; diagnose uses \"auto\"")
+        init = _initial_factors(model, cavi_cfg)
     else:
         state = _load_state_file(state_file, model)
     gibbs_cfg = cfg.gibbs_config(seed_override=args.seed)
     traces = run_chains(model, gibbs_cfg, args.parallel_chains)
     trace = pooled_trace(traces)
     if state is None:
-        state = run_cavi(model, cavi_cfg)
+        state = run_cavi(model, cavi_cfg, init)
     report = build_report(model, trace, state, cfg.diagnostics.report_options())
     out = _out_dir(args, cfg)
     if "json" in cfg.output_formats:

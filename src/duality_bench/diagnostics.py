@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from duality_bench.cavi import MeanFieldState
 from duality_bench.core import InfoEquality, TargetModel
@@ -36,6 +35,7 @@ from duality_bench.quadrature import (
     GRID_POINTS_1D,
     HALF_WIDTH_SIGMAS,
     log_integral,
+    logsumexp,
     trapezoid_weights,
 )
 
@@ -162,13 +162,13 @@ def duality_gap(problem: DualityProblem) -> float:
         logw = np.log(trapezoid_weights(problem.grid))
         log_p = problem.log_base + logw
         log_q = problem.log_candidate + logw
-        lhs = float(logsumexp(log_p + problem.test_values))
+        lhs = logsumexp(log_p + problem.test_values)
         q_mass = np.exp(log_q)
         e_q_h = float(np.sum(q_mass * problem.test_values))
         kl = float(np.sum(q_mass * (problem.log_candidate - problem.log_base)))
         return lhs - (e_q_h - kl)
     p_mask = problem.log_base > -np.inf
-    lhs = float(logsumexp(problem.log_base[p_mask] + problem.test_values[p_mask]))
+    lhs = logsumexp(problem.log_base[p_mask] + problem.test_values[p_mask])
     q = np.exp(problem.log_candidate)
     q_mask = q > 0
     e_q_h = float(np.sum(q[q_mask] * problem.test_values[q_mask]))
@@ -367,7 +367,7 @@ def squashing_constant(model: TargetModel, state: MeanFieldState, i: int) -> flo
     model.decomposition.check_index(i)
     weights = model.block_measure(i)[1]
     expected = model.expected_log_conditional(state.factors, i)
-    log_num = float(logsumexp(expected + np.log(weights)))
+    log_num = logsumexp(expected + np.log(weights))
     kl_c = model.product_kl(state.factors, i)
     if not np.isfinite(kl_c):
         raise SupportError("complement factor mass outside the complement marginal")

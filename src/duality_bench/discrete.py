@@ -18,11 +18,10 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 from duality_bench.core import BlockDecomposition, InfoEquality, TargetModel
 from duality_bench.errors import ModelError, SupportError, ZeroMassError
-from duality_bench.quadrature import GRID_POINTS_1D, Factor
+from duality_bench.quadrature import GRID_POINTS_1D, Factor, logsumexp
 
 __all__ = ["DiscreteFactor", "DiscreteTarget"]
 
@@ -381,7 +380,7 @@ class DiscreteTarget(TargetModel):
             raise SupportError("factor mass outside the block marginal support")
         expected = log_cond_c[:, mask] @ factor.pmf[mask]
         finite = np.isfinite(expected)
-        raw = float(logsumexp(expected[finite])) if np.any(finite) else -np.inf
+        raw = logsumexp(expected[finite]) if np.any(finite) else -np.inf
         return raw, float(np.sum(_xlogy(factor.pmf, _safe_log(factor.pmf) - _safe_log(marg_i))))
 
     # --- candidates and report echo ------------------------------------------

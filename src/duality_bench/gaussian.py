@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import block_diag, cho_factor, cho_solve, cholesky, solve_triangular
 
 from duality_bench.core import BlockDecomposition, InfoEquality, TargetModel
 from duality_bench.errors import ModelError
@@ -48,10 +47,44 @@ PRECISION_CHECK_TOL = 1e-8
 
 
 def _spd_cholesky(matrix: np.ndarray, what: str) -> np.ndarray:
+    """Lower Cholesky factor; ValueError on infs or NaNs, which
+    np.linalg.cholesky would pass through."""
+    if not np.all(np.isfinite(matrix)):
+        raise ValueError(f"{what} must not contain infs or NaNs")
     try:
-        return cholesky(matrix, lower=True)
+        return np.linalg.cholesky(matrix)
     except np.linalg.LinAlgError as exc:
         raise ModelError(f"{what} is not symmetric positive definite") from exc
+
+
+def _substitute(lower: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Overwrite each row r of z (n, d) with the x solving lower @ x = r, by
+    forward substitution that multiplies by each reciprocal pivot (as BLAS
+    trsm does); returns z."""
+    for k in range(lower.shape[0]):
+        if k:
+            z[:, k] -= z[:, :k] @ lower[k, :k]
+        z[:, k] *= 1.0 / lower[k, k]
+    return z
+
+
+def _cho_inverse(chol: np.ndarray) -> np.ndarray:
+    """(chol @ chol.T)^{-1}: the lower solve of the identity, then the upper
+    one, run as a forward substitution on the reversed order."""
+    rev = slice(None, None, -1)
+    z = _substitute(chol, np.eye(chol.shape[0]))
+    _substitute(chol.T[rev, rev], z[:, rev])
+    return z
+
+
+def _block_diag(blocks) -> np.ndarray:
+    sizes = [b.shape[0] for b in blocks]
+    out = np.zeros((sum(sizes), sum(sizes)))
+    start = 0
+    for b, n in zip(blocks, sizes):
+        out[start:start + n, start:start + n] = b
+        start += n
+    return out
 
 
 @dataclass(frozen=True)
@@ -105,8 +138,8 @@ class GaussianFactor(Factor):
         pts = np.atleast_2d(x if x.ndim else x.reshape(1))
         if pts.shape[-1] != self.dim:
             raise ValueError(f"points have dim {pts.shape[-1]}, factor has dim {self.dim}")
-        z = solve_triangular(self._chol, (pts - self.mean).T, lower=True)
-        quad = np.sum(z * z, axis=0)
+        z = _substitute(self._chol, pts - self.mean)
+        quad = np.einsum("ij,ij->i", z, z)
         out = -0.5 * (self.dim * _LOG_2PI + self._log_det + quad)
         return float(out[0]) if single else out
 
@@ -141,9 +174,9 @@ def kl_divergence(a: GaussianFactor, b: GaussianFactor) -> float:
     """KL(a || b) in closed form; equals quadrature of int a log(a/b)."""
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    z = solve_triangular(b._chol, a._chol, lower=True)
+    z = _substitute(b._chol, a._chol.T.copy())
     trace = float(np.sum(z * z))
-    delta = solve_triangular(b._chol, a.mean - b.mean, lower=True)
+    delta = _substitute(b._chol, (a.mean - b.mean)[None, :])[0]
     quad = float(delta @ delta)
     return 0.5 * (trace + quad - a.dim + b._log_det - a._log_det)
 
@@ -179,8 +212,7 @@ class GaussianTarget(TargetModel):
         self._joint = GaussianFactor(mean, cov)   # freezes mean and cov
         self._mean, self._cov = self._joint.mean, self._joint.covariance
         self._decomposition = decomposition
-        c, low = cho_factor(cov, lower=True)
-        self._precision = cho_solve((c, low), np.eye(d))
+        self._precision = _cho_inverse(self._joint._chol)
         self._precision = 0.5 * (self._precision + self._precision.T)
         if np.max(np.abs(self._precision @ cov - np.eye(d))) > PRECISION_CHECK_TOL:
             raise ModelError("precision @ covariance deviates from identity beyond 1e-8")
@@ -400,7 +432,7 @@ class GaussianTarget(TargetModel):
         with m_c and the block-diagonal covariance of the complement factors."""
         tilted = self.cavi_update(_gaussian_factors(factors), i)
         blk = self._blocks[i]
-        cov_c = block_diag(*[f.covariance for j, f in enumerate(factors) if j != i])
+        cov_c = _block_diag([f.covariance for j, f in enumerate(factors) if j != i])
         b_mat = blk["lam_ic"].T @ blk["cov_i"] @ blk["lam_ic"]   # Lambda_ci cov_i Lambda_ic
         penalty = 0.5 * float(np.sum(b_mat * cov_c))
         nodes = self.block_measure(i)[0]
@@ -412,7 +444,7 @@ class GaussianTarget(TargetModel):
         keep = [j for j in range(self._decomposition.n_blocks) if j != i]
         idx = np.concatenate([self._decomposition.block_indices(j) for j in keep])
         product = GaussianFactor(np.concatenate([factors[j].mean for j in keep]),
-                                 block_diag(*[factors[j].covariance for j in keep]))
+                                 _block_diag([factors[j].covariance for j in keep]))
         return kl_divergence(product, GaussianFactor(self._mean[idx], self._cov[np.ix_(idx, idx)]))
 
     def block_kl_terms(self, factor, i: int) -> tuple[float, float]:

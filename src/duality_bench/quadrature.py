@@ -20,7 +20,6 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field, fields
 
 import numpy as np
-from scipy.special import logsumexp
 
 __all__ = [
     "trapezoid_weights",
@@ -67,10 +66,27 @@ def tensor_weights(*grids) -> np.ndarray:
     return w
 
 
+def logsumexp(a) -> float:
+    """log(sum(exp(a))) over all elements, by scipy 1.17's algorithm (same
+    bits): the maxima are summed apart, as their count m, so the rest enters
+    as log1p(s / m); the direct form stands in when that is not finite."""
+    a = np.asarray(a, dtype=float).reshape(-1)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        direct = np.log(np.sum(np.exp(a)))
+        a_max = np.max(a)
+        is_max = a == a_max
+        m = float(np.count_nonzero(is_max))
+        s = np.sum(np.exp(np.where(is_max, -np.inf, a) - a_max))
+        if s != 0:
+            s = s / m
+        out = np.log1p(s) + np.log(m) + a_max
+    return float(out if np.isfinite(out) else direct)
+
+
 def log_integral(log_values, grid) -> float:
     """log of the trapezoid integral of exp(log_values) over grid."""
     logw = np.log(trapezoid_weights(grid))
-    return float(logsumexp(np.asarray(log_values, dtype=float) + logw))
+    return logsumexp(np.asarray(log_values, dtype=float) + logw)
 
 
 class Factor(ABC):
@@ -131,7 +147,7 @@ class GridFactor(Factor):
 
     def __post_init__(self):
         grid = np.asarray(self.grid, dtype=float)
-        values = np.asarray(self.values, dtype=float)
+        values = np.array(self.values, dtype=float)   # a copy: it is frozen below
         if grid.shape != values.shape or grid.ndim != 1:
             raise ValueError("grid and values must be matching 1-D arrays")
         if np.any(values < 0) or not np.all(np.isfinite(values)):
@@ -139,7 +155,11 @@ class GridFactor(Factor):
         mass = float(np.sum(trapezoid_weights(grid) * values))
         if mass <= 0:
             raise ValueError("density has zero mass on its grid")
-        values = values / mass
+        # Normalising and re-summing n products moves the mass off 1 by at most
+        # about (n + 1) eps; values inside that bound are kept as they are, so
+        # a stored factor reloads bit for bit.
+        if abs(mass - 1.0) > (grid.size + 1) * np.finfo(float).eps:
+            values = values / mass
         grid.setflags(write=False)
         values.setflags(write=False)
         with np.errstate(divide="ignore"):

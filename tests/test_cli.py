@@ -36,6 +36,7 @@ DIAGNOSE_GIBBS = {"n_cycles": 30_000, "burn_in": 1000, "seed": 0}
 GRID_TABLE = {"family": "discrete", "support_sizes": [3, 2],
               "joint_pmf": [0.1, 0.2, 0.15, 0.05, 0.3, 0.2]}
 GRID_FACTOR = {"type": "grid", "grid": [-1.0, 0.0, 1.0], "values": [0.5, 1.0, 0.5]}
+GAUSSIAN_FACTOR = {"type": "gaussian", "mean": [0.0], "covariance": [[1.0]]}
 VECTOR_BLOCK_MODEL = {"family": "gaussian", "mean": [0.0, 0.0, 0.0],
                       "covariance": [[1.0, 0.5, 0.0], [0.5, 1.0, 0.2], [0.0, 0.2, 1.0]],
                       "block_dims": [1, 2]}
@@ -170,6 +171,22 @@ class TestRunCavi:
         assert calls == []
         assert not (out / "state.json").exists()
 
+    @pytest.mark.parametrize("init", ["marginals", "uniform"])
+    def test_grid_path_without_the_initializer_exits_2(self, tmp_path, capsys, monkeypatch,
+                                                       init):
+        import duality_bench.cli as cli
+
+        calls = []
+        monkeypatch.setattr(cli, "run_cavi", lambda *args: calls.append(args))
+        cfg = write_config(tmp_path / "cfg.json",
+                           cavi={"max_cycles": 10, "tolerance": 1e-10, "path": "grid",
+                                 "init": init})
+        out = tmp_path / "out"
+        assert main(["run-cavi", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "cavi.init" in capsys.readouterr().err
+        assert calls == []
+        assert not (out / "state.json").exists()
+
 
 class TestDiagnose:
     def test_gaussian_pipeline_exits_0(self, tmp_path):
@@ -232,6 +249,8 @@ class TestDiagnose:
                    "joint_pmf": [0.5, 0.0, 0.0, 0.5]},
          "factors": [{"type": "discrete", "pmf": [0.0, 1.0]},
                      {"type": "discrete", "pmf": [1.0, 0.0]}]},
+        {"factors": [GAUSSIAN_FACTOR, {**GAUSSIAN_FACTOR, "covariance": [[float("nan")]]}]},
+        {"factors": [GAUSSIAN_FACTOR, {**GAUSSIAN_FACTOR, "covariance": [[float("inf")]]}]},
     ])
     def test_unusable_state_file_exits_2_before_the_chain(self, tmp_path, capsys,
                                                           monkeypatch, stored):
@@ -264,6 +283,27 @@ class TestDiagnose:
         out = tmp_path / "out"
         assert main(["diagnose", "--config", str(cfg), "--out", str(out)]) == 2
         assert "cavi.path" in capsys.readouterr().err
+        assert calls == []
+        assert not (out / "report.json").exists()
+
+    @pytest.mark.parametrize("model, init", [
+        (None, "uniform"),                      # the default Gaussian
+        ({"family": "discrete", "support_sizes": [2, 2],
+          "joint_pmf": [0.4, 0.1, 0.2, 0.3]}, "standard_normal"),
+    ])
+    def test_unusable_initializer_exits_2_before_the_chain(self, tmp_path, capsys,
+                                                           monkeypatch, model, init):
+        import duality_bench.cli as cli
+
+        calls = []
+        monkeypatch.setattr(cli, "run_chains", lambda *args: calls.append(args))
+        monkeypatch.setattr(cli, "run_cavi", lambda *args: calls.append(args))
+        cfg = write_config(tmp_path / "cfg.json", gibbs=DIAGNOSE_GIBBS,
+                           **({"model": model} if model else {}),
+                           cavi={"max_cycles": 10, "tolerance": 1e-10, "init": init})
+        out = tmp_path / "out"
+        assert main(["diagnose", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "cavi.init" in capsys.readouterr().err
         assert calls == []
         assert not (out / "report.json").exists()
 
