@@ -222,7 +222,8 @@ class DiscreteTarget(TargetModel):
 
         def draw(theta, u):
             state = theta.tolist()
-            comp = tuple(state[:i] + state[i + 1:])
+            del state[i]
+            comp = tuple(state)
             cumsum = rows.get(comp)
             if cumsum is None:  # off the support or zero mass: full_conditional raises
                 cumsum = self.full_conditional(i, comp)._cumsum.tolist()

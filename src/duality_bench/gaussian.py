@@ -69,8 +69,9 @@ def _substitute(lower: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 
 def _cho_inverse(chol: np.ndarray) -> np.ndarray:
-    """(chol @ chol.T)^{-1}: the lower solve of the identity, then the upper
-    one, run as a forward substitution on the reversed order."""
+    """(chol @ chol.T)^{-1}, symmetric up to rounding: the lower solve of the
+    identity, then the upper one, run as a forward substitution in reversed
+    order."""
     rev = slice(None, None, -1)
     z = _substitute(chol, np.eye(chol.shape[0]))
     _substitute(chol.T[rev, rev], z[:, rev])

@@ -16,6 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+# numpy loads numpy.random on first use; importing it here keeps that cost in
+# the package import instead of the first command that draws
+from numpy.random import Generator, Philox
 
 from duality_bench.core import TargetModel
 from duality_bench.errors import ModelError
@@ -42,7 +45,7 @@ def make_rng(seed: int) -> np.random.Generator:
     """Philox generator keyed with a 64-bit unsigned seed."""
     if not 0 <= int(seed) < MAX_SEED:
         raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
-    return np.random.Generator(np.random.Philox(key=int(seed)))
+    return Generator(Philox(key=int(seed)))
 
 
 @dataclass(frozen=True)
