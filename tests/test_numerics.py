@@ -1,5 +1,6 @@
-"""The numpy-only numerics: the package imports without scipy, and its
-log-sum-exp and Gaussian solves agree with scipy's wherever scipy is installed."""
+"""The numpy-only runtime: the package imports without scipy, sets OpenBLAS's
+worker wait before numpy loads, and its log-sum-exp and Gaussian solves agree
+with scipy's wherever scipy is installed."""
 
 import os
 import subprocess
@@ -21,6 +22,18 @@ def test_cli_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": str(SRC)})
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("user_value, expected", [(None, "4"), ("20", "20")])
+def test_blas_worker_timeout_defaults_before_numpy_loads(user_value, expected):
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_THREAD_TIMEOUT"}
+    if user_value is not None:
+        env["OPENBLAS_THREAD_TIMEOUT"] = user_value
+    probe = ("import os; import duality_bench; "
+             "print(os.environ['OPENBLAS_THREAD_TIMEOUT'])")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, env={**env, "PYTHONPATH": str(SRC)})
+    assert out.stdout.strip() == expected
 
 
 def _vectors(rng, count):
