@@ -29,7 +29,7 @@ from duality_bench.config import RunConfig, load_config
 from duality_bench.diagnostics import ATTAINMENT_TOL, GAP_TOL, build_report, duality_suite
 from duality_bench.errors import ConfigError, DualityBenchError, ModelError
 from duality_bench.gibbs import ChainTrace, estimate, pooled_trace, run_chains
-from duality_bench.serialize import write_csv, write_json
+from duality_bench.serialize import write_csv, write_json, write_trace_csv
 
 __all__ = ["main"]
 
@@ -55,9 +55,7 @@ def _trace_header(model) -> list[str]:
 
 
 def _write_trace(path: Path, model, trace: ChainTrace) -> None:
-    first_cycle = trace.burn_in + 1
-    rows = [[first_cycle + r, *trace.samples[r]] for r in range(len(trace))]
-    write_csv(path, _trace_header(model), rows)
+    write_trace_csv(path, _trace_header(model), trace.burn_in + 1, trace.samples)
 
 
 def _estimates_payload(cfg: RunConfig, model, traces: list[ChainTrace]) -> dict:

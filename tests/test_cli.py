@@ -1,6 +1,7 @@
 """CLI contract: subcommands, exit codes, file formats, determinism."""
 
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -413,3 +414,24 @@ class TestConfigValidation:
         )
         assert main(["run-gibbs", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert "model" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run-gibbs", "diagnose"])
+    @pytest.mark.parametrize("field, value", [
+        ("mean", [float("nan"), 0.0]),
+        ("covariance", [[float("inf"), 0.5], [0.5, 1.0]]),
+    ])
+    def test_non_finite_model_exits_2_before_the_chain(self, tmp_path, capsys, monkeypatch,
+                                                        command, field, value):
+        import duality_bench.cli as cli
+
+        calls = []
+        monkeypatch.setattr(cli, "run_chains", lambda *args: calls.append(args))
+        cfg = tmp_path / "cfg.json"
+        config = json.loads(write_config(cfg).read_text())
+        config["model"][field] = value
+        cfg.write_text(json.dumps(config))   # json writes NaN and Infinity
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert f"model: {field} must not contain infs or NaNs" in capsys.readouterr().err
+        assert calls == []

@@ -287,3 +287,36 @@ class TestBlockSamplers:
         with pytest.raises(ValueError):
             run_chain(DiscreteTarget(TABLE),
                       GibbsConfig(n_cycles=10, burn_in=0, seed=0, init=np.array(start)))
+
+
+def scalar_draw_model(k):
+    """The k-th of 30 seeded 2x1-D Gaussians, whose block samplers draw on
+    Python floats: correlations of both signs, a diagonal covariance (gain 0)
+    every tenth model, a zero mean every third, standard deviations from
+    1e-4 to 1e4 (within a factor 10 of each other)."""
+    rng = np.random.default_rng(k)
+    scales = 10.0 ** rng.uniform(-3, 3) * np.array([1.0, 10.0 ** rng.uniform(-1, 1)])
+    rho = 0.0 if k % 10 == 0 else (-1) ** k * rng.uniform(0.05, 0.95)
+    mean = np.zeros(2) if k % 3 == 0 else scales * rng.normal(size=2)
+    cov = np.outer(scales, scales) * np.array([[1.0, rho], [rho, 1.0]])
+    return GaussianTarget(mean, cov, make_decomposition([1, 1]))
+
+
+class TestScalarBlockDraw:
+    """The float draw of 1-D blocks with a 1-D complement, byte for byte
+    against the full-conditional reference scan."""
+
+    @pytest.mark.parametrize("init", ["default", "explicit"])
+    @pytest.mark.parametrize("k", range(30))
+    def test_chain_equals_the_reference_scan(self, k, init):
+        model = scalar_draw_model(k)
+        if k % 10 == 0:   # diagonal covariance: the gain is exactly zero
+            assert model.full_conditional(0, [1.0]).mean[0] == model.mean[0]
+        n_cycles, burn_in, seed = 300, 30, 100 + k
+        explicit = np.sqrt(np.diag(model.covariance)) * np.array([1.5, -0.5])
+        rng = make_rng(seed)
+        start = default_start(model, rng) if init == "default" else explicit
+        reference = reference_scan(model, start, rng, n_cycles)
+        trace = run_chain(model, GibbsConfig(n_cycles=n_cycles, burn_in=burn_in, seed=seed,
+                                             init=init if init == "default" else explicit))
+        assert trace.samples.tobytes() == reference[burn_in:].tobytes()
