@@ -28,7 +28,7 @@ from duality_bench.cavi import initial_factors, run_cavi, state_from_jsonable, s
 from duality_bench.config import RunConfig, load_config
 from duality_bench.diagnostics import ATTAINMENT_TOL, GAP_TOL, build_report, duality_suite
 from duality_bench.errors import ConfigError, DualityBenchError, ModelError
-from duality_bench.gibbs import ChainTrace, estimate, pooled_trace, run_chains
+from duality_bench.gibbs import ChainTrace, check_init, estimate, pooled_trace, run_chains
 from duality_bench.serialize import write_csv, write_json, write_trace_csv
 
 __all__ = ["main"]
@@ -107,10 +107,21 @@ def _estimates_payload(cfg: RunConfig, model, traces: list[ChainTrace]) -> dict:
     }
 
 
+def _gibbs_config(cfg: RunConfig, model, seed: int | None):
+    """The chain settings, with the initializer tried on the model before any
+    chain runs: exit 2 naming ``gibbs.init`` when the model cannot use it."""
+    gibbs_cfg = cfg.gibbs_config(seed_override=seed)
+    try:
+        check_init(model, gibbs_cfg)
+    except (ModelError, ValueError) as exc:
+        raise ConfigError(f"gibbs.init: {exc}") from exc
+    return gibbs_cfg
+
+
 def cmd_run_gibbs(args) -> int:
     cfg = load_config(args.config)
     model = cfg.build_model()
-    gibbs_cfg = cfg.gibbs_config(seed_override=args.seed)
+    gibbs_cfg = _gibbs_config(cfg, model, args.seed)
     traces = run_chains(model, gibbs_cfg, args.parallel_chains)
     out = _out_dir(args, cfg)
     if len(traces) == 1:
@@ -190,6 +201,12 @@ def cmd_diagnose(args) -> int:
     cfg = load_config(args.config)
     model = cfg.build_model()
     _require_block_measures(model, "model.block_dims")
+    options = cfg.diagnostics.report
+    if options.info_method != "auto":   # "auto" picks a route every model has
+        try:
+            model.information_equality(0, options.info_method)
+        except ModelError as exc:
+            raise ConfigError(f"diagnostics.info_method: {exc}") from exc
     state_file = cfg.diagnostics.state_file
     if state_file is None:
         state, cavi_cfg = None, cfg.cavi_config()
@@ -199,12 +216,12 @@ def cmd_diagnose(args) -> int:
         init = _initial_factors(model, cavi_cfg)
     else:
         state = _load_state_file(state_file, model)
-    gibbs_cfg = cfg.gibbs_config(seed_override=args.seed)
+    gibbs_cfg = _gibbs_config(cfg, model, args.seed)
     traces = run_chains(model, gibbs_cfg, args.parallel_chains)
     trace = pooled_trace(traces)
     if state is None:
         state = run_cavi(model, cavi_cfg, init)
-    report = build_report(model, trace, state, cfg.diagnostics.report_options())
+    report = build_report(model, trace, state, options)
     out = _out_dir(args, cfg)
     if "json" in cfg.output_formats:
         write_json(out / "report.json", {
@@ -222,7 +239,7 @@ def cmd_diagnose(args) -> int:
 def cmd_verify_duality(args) -> int:
     cfg = load_config(args.config)
     rows = duality_suite(cfg.build_model().echo()["family"], cfg.diagnostics.duality_trials,
-                         cfg.diagnostics.suite_seed)
+                         cfg.diagnostics.report.suite_seed)
     out = _out_dir(args, cfg)
     write_csv(out / "duality_gaps.csv",
               ["trial", "gap", "at_optimum_flag"],

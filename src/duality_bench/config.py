@@ -58,22 +58,13 @@ def _as_section(value, path: str) -> dict:
 
 @dataclass(frozen=True)
 class DiagnosticsSettings:
-    grid_points: int = 1001
-    f_candidates: int = 50
-    concavity_mixtures: int = 100
-    duality_trials: int = 100
-    suite_seed: int = 0
-    info_method: str = "auto"
-    state_file: str | None = None
+    """The ``diagnostics`` section: the report's options (``grid_points`` in
+    the file is ``report.squash_grid_points``), the size of verify-duality's
+    suite, and a stored CAVI state that diagnose uses instead of running CAVI."""
 
-    def report_options(self) -> ReportOptions:
-        return ReportOptions(
-            squash_grid_points=self.grid_points,
-            f_candidates=self.f_candidates,
-            concavity_mixtures=self.concavity_mixtures,
-            suite_seed=self.suite_seed,
-            info_method=self.info_method,
-        )
+    report: ReportOptions = ReportOptions()
+    duality_trials: int = 100
+    state_file: str | None = None
 
 
 @dataclass(frozen=True)
@@ -182,7 +173,7 @@ def load_config(path) -> RunConfig:
 
     diag_raw = _as_section(raw.get("diagnostics", {}), "diagnostics")
     defaults = DiagnosticsSettings()
-    grid_points = _as_int(diag_raw.get("grid_points", defaults.grid_points),
+    grid_points = _as_int(diag_raw.get("grid_points", defaults.report.squash_grid_points),
                           "diagnostics.grid_points")
     if grid_points < 2:
         raise ConfigError("diagnostics.grid_points: must be at least 2")
@@ -190,27 +181,25 @@ def load_config(path) -> RunConfig:
                      "diagnostics.duality_trials")
     if trials < 1:
         raise ConfigError("diagnostics.duality_trials: empty suite forbidden")
-    f_candidates = _as_int(diag_raw.get("f_candidates", defaults.f_candidates),
+    f_candidates = _as_int(diag_raw.get("f_candidates", defaults.report.f_candidates),
                            "diagnostics.f_candidates")
-    mixtures = _as_int(diag_raw.get("concavity_mixtures", defaults.concavity_mixtures),
+    mixtures = _as_int(diag_raw.get("concavity_mixtures", defaults.report.concavity_mixtures),
                        "diagnostics.concavity_mixtures")
-    suite_seed = _as_int(diag_raw.get("suite_seed", defaults.suite_seed),
+    suite_seed = _as_int(diag_raw.get("suite_seed", defaults.report.suite_seed),
                          "diagnostics.suite_seed")
     if not 0 <= suite_seed < MAX_SEED:
         raise ConfigError("diagnostics.suite_seed: must be a 64-bit unsigned integer")
-    info_method = diag_raw.get("info_method", defaults.info_method)
+    info_method = diag_raw.get("info_method", defaults.report.info_method)
     if info_method not in ("auto", "quadrature", "closed_form"):
         raise ConfigError(f"diagnostics.info_method: unknown method {info_method!r}")
     state_file = diag_raw.get("state_file")
     if state_file is not None and not isinstance(state_file, str):
         raise ConfigError("diagnostics.state_file: expected a path string")
     diagnostics = DiagnosticsSettings(
-        grid_points=grid_points,
-        f_candidates=f_candidates,
-        concavity_mixtures=mixtures,
+        report=ReportOptions(suite_seed=suite_seed, f_candidates=f_candidates,
+                             concavity_mixtures=mixtures, squash_grid_points=grid_points,
+                             info_method=info_method),
         duality_trials=trials,
-        suite_seed=suite_seed,
-        info_method=info_method,
         state_file=state_file,
     )
 

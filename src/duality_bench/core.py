@@ -8,6 +8,8 @@ Everything downstream (Gibbs, CAVI, diagnostics) is written against
 :class:`TargetModel` and never asks which family it runs. A family supplies
 the densities the duality checks are stated over, each as one primitive:
 
+- ``log_density``: the log posterior, unnormalized, at a point or at each
+  row of a sample array;
 - ``block_sampler``: the Gibbs step of one block, a full-conditional draw
   written into the parameter vector from a row of pre-drawn noise;
 - ``block_measure``: nodes and weights for one block (trapezoid weights on a
@@ -155,24 +157,15 @@ class TargetModel(ABC):
     def is_discrete(self) -> bool: ...
 
     @property
-    @abstractmethod
-    def has_analytic_marginals(self) -> bool: ...
-
-    @property
     def log_evidence(self) -> float | None:
         """log normalizing constant of the posterior, when known (None otherwise)."""
         return None
 
     @abstractmethod
-    def log_unnormalized_posterior(self, theta) -> float:
-        """Finite on the declared support."""
-
     def log_density(self, theta):
-        """Log unnormalized posterior at a point (D,) or at each row of (n, D)."""
-        theta = np.asarray(theta, dtype=float)
-        if theta.ndim == 1:
-            return self.log_unnormalized_posterior(theta)
-        return np.array([self.log_unnormalized_posterior(p) for p in theta])
+        """Log unnormalized posterior: a float at a point (D,), an array at the
+        rows of (n, D); -inf where the posterior has no mass, ValueError at a
+        point outside the declared support."""
 
     @abstractmethod
     def full_conditional(self, i: int, complement_values):

@@ -22,7 +22,7 @@ truncation error. Exp-then-integrate steps use log-sum-exp.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -158,21 +158,14 @@ def duality_gap(problem: DualityProblem) -> float:
     Equals KL(q || exponential tilt of p by h) on the working measure, hence
     nonnegative up to roundoff and zero exactly at the tilt.
     """
-    if problem.grid is not None:
-        logw = np.log(trapezoid_weights(problem.grid))
-        log_p = problem.log_base + logw
-        log_q = problem.log_candidate + logw
-        lhs = logsumexp(log_p + problem.test_values)
-        q_mass = np.exp(log_q)
-        e_q_h = float(np.sum(q_mass * problem.test_values))
-        kl = float(np.sum(q_mass * (problem.log_candidate - problem.log_base)))
-        return lhs - (e_q_h - kl)
-    p_mask = problem.log_base > -np.inf
-    lhs = logsumexp(problem.log_base[p_mask] + problem.test_values[p_mask])
-    q = np.exp(problem.log_candidate)
-    q_mask = q > 0
-    e_q_h = float(np.sum(q[q_mask] * problem.test_values[q_mask]))
-    kl = float(np.sum(q[q_mask] * (problem.log_candidate[q_mask] - problem.log_base[q_mask])))
+    # log weights of the working measure: trapezoid on a grid, 0 for counting
+    logw = 0.0 if problem.grid is None else np.log(trapezoid_weights(problem.grid))
+    h, log_p, log_q = problem.test_values, problem.log_base, problem.log_candidate
+    p_mask, q_mask = log_p > -np.inf, log_q > -np.inf
+    lhs = logsumexp((log_p + logw)[p_mask] + h[p_mask])
+    q_mass = np.exp((log_q + logw)[q_mask])
+    e_q_h = float(np.sum(q_mass * h[q_mask]))
+    kl = float(np.sum(q_mass * (log_q[q_mask] - log_p[q_mask])))
     return lhs - (e_q_h - kl)
 
 
@@ -248,8 +241,6 @@ class _FunctionalWorkspace:
     """
 
     def __init__(self, model: TargetModel, i: int, complement_value):
-        if not model.has_analytic_marginals:
-            raise ModelError("the functional needs analytic marginals")
         dec = model.decomposition
         dec.check_index(i)
         self.model = model
@@ -418,14 +409,14 @@ def kl_lower_bound(model: TargetModel, state: MeanFieldState, i: int) -> KlBound
 
 @dataclass(frozen=True)
 class ReportOptions:
-    """Knobs for the aggregated diagnostics run (all defaults spec-level)."""
+    """Knobs for the aggregated diagnostics run (all defaults spec-level), in
+    the order the report echoes them."""
 
-    squash_grid_points: int = SQUASH_GRID_POINTS
+    suite_seed: int = 0
     f_candidates: int = 50
     concavity_mixtures: int = 100
-    suite_seed: int = 0
+    squash_grid_points: int = SQUASH_GRID_POINTS
     info_method: str = "auto"
-    reference_point: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -471,45 +462,23 @@ class DiagnosticsReport:
     failures: tuple[str, ...]
 
     def to_jsonable(self) -> dict:
-        blocks = []
-        for b in self.blocks:
-            d = asdict(b)
-            d["checks"] = dict(b.checks)
-            blocks.append(d)
         return {
             "model": self.model_echo,
             "gibbs": self.gibbs_echo,
             "cavi": self.cavi_echo,
             "options": self.options_echo,
-            "blocks": blocks,
+            "blocks": [asdict(b) for b in self.blocks],
             "passed": self.passed,
             "failures": list(self.failures),
         }
 
-    CSV_FIELDS = (
-        "block", "duality_gap", "functional_at_conditional",
-        "log_complement_marginal", "attainment_abs_error",
-        "f_suite_max_excess", "f_suite_min_distant_gap", "concavity_min_slack",
-        "mutual_information", "complement_entropy", "conditional_entropy",
-        "information_residual", "symmetric_information_residual",
-        "mi_mc", "mi_mc_se", "complement_entropy_mc", "complement_entropy_mc_se",
-        "conditional_entropy_mc", "conditional_entropy_mc_se",
-        "squashing_constant", "min_squash_slack", "kl_factor_to_marginal",
-        "kl_lower_bound_raw", "kl_lower_bound", "passed",
-    )
+    # one column per scalar field of a block, then the block's verdict
+    CSV_FIELDS = (*(f.name for f in fields(BlockDiagnostics)
+                    if f.name not in ("info_method", "checks")), "passed")
 
     def to_csv_rows(self) -> list[list]:
-        rows = []
-        for b in self.blocks:
-            d = asdict(b)
-            row = []
-            for name in self.CSV_FIELDS:
-                if name == "passed":
-                    row.append(all(b.checks.values()))
-                else:
-                    row.append(d[name])
-            rows.append(row)
-        return rows
+        return [[getattr(b, name) for name in self.CSV_FIELDS[:-1]] + [all(b.checks.values())]
+                for b in self.blocks]
 
 
 def build_report(model: TargetModel, trace: ChainTrace, state: MeanFieldState,
@@ -528,10 +497,7 @@ def build_report(model: TargetModel, trace: ChainTrace, state: MeanFieldState,
         raise ModelError("state does not match the model decomposition")
     info_tol = INFO_TOL_DISCRETE if model.is_discrete else INFO_TOL_CONTINUOUS
     rng = make_rng(options.suite_seed)
-    if options.reference_point is not None:
-        reference = dec.check_vector(options.reference_point)
-    else:
-        reference = model.reference_point()
+    reference = model.reference_point()
     blocks: list[BlockDiagnostics] = []
     failures: list[str] = []
     for i in range(dec.n_blocks):
@@ -630,13 +596,7 @@ def build_report(model: TargetModel, trace: ChainTrace, state: MeanFieldState,
             "cycles": state.cycles,
             "max_change": state.max_change,
         },
-        options_echo={
-            "suite_seed": options.suite_seed,
-            "f_candidates": options.f_candidates,
-            "concavity_mixtures": options.concavity_mixtures,
-            "squash_grid_points": options.squash_grid_points,
-            "info_method": options.info_method,
-        },
+        options_echo=asdict(options),
         blocks=tuple(blocks),
         passed=not failures,
         failures=tuple(failures),

@@ -87,14 +87,12 @@ class DiscreteFactor(Factor):
 
     @classmethod
     def _trusted(cls, pmf: np.ndarray, cumsum: np.ndarray) -> "DiscreteFactor":
+        # The cached conditional rows, kept as they are: the validated
+        # constructor divides by the sum, which moves rows not summing to 1.0.
         obj = object.__new__(cls)
         object.__setattr__(obj, "pmf", pmf)
         object.__setattr__(obj, "_cumsum", cumsum)
         return obj
-
-    @property
-    def support_size(self) -> int:
-        return self.pmf.size
 
     def values_at(self, nodes) -> np.ndarray:
         """The pmf as stored, at the nodes {0..n-1} of the counting measure."""
@@ -155,7 +153,7 @@ class DiscreteTarget(TargetModel):
             cums = np.cumsum(probs, axis=1)
             for arr in (rows, mass, probs, cums):
                 arr.setflags(write=False)
-            self._cond.append({"mass": mass, "probs": probs, "cumsum": cums})
+            self._cond.append({"rows": rows, "mass": mass, "probs": probs, "cumsum": cums})
 
     # --- TargetModel contract ---------------------------------------------
 
@@ -165,10 +163,6 @@ class DiscreteTarget(TargetModel):
 
     @property
     def is_discrete(self) -> bool:
-        return True
-
-    @property
-    def has_analytic_marginals(self) -> bool:
         return True
 
     @property
@@ -183,18 +177,11 @@ class DiscreteTarget(TargetModel):
     def joint_pmf(self) -> np.ndarray:
         return self._table
 
-    def to_state(self, theta) -> tuple[int, ...]:
-        theta = np.asarray(theta, dtype=float).reshape(1, -1)
-        return tuple(_state_indices(theta, self._table.shape)[0].tolist())
-
-    def log_unnormalized_posterior(self, theta) -> float:
-        return float(_safe_log(np.asarray([self._table[self.to_state(theta)]]))[0])
-
     def log_density(self, theta):
         theta = np.asarray(theta, dtype=float)
-        if theta.ndim == 1:
-            return self.log_unnormalized_posterior(theta)
-        return _safe_log(self._table[tuple(_state_indices(theta, self._table.shape).T)])
+        states = _state_indices(np.atleast_2d(theta), self._table.shape)
+        out = _safe_log(self._table[tuple(states.T)])
+        return float(out[0]) if theta.ndim < 2 else out
 
     def full_conditional(self, i: int, complement_values) -> DiscreteFactor:
         """Slice of the joint pmf renormalized over block i."""
@@ -249,7 +236,7 @@ class DiscreteTarget(TargetModel):
     def complement_marginal(self, i: int) -> DiscreteFactor:
         """Pmf of the complement, flattened in C order over the remaining axes."""
         self._decomposition.check_index(i)
-        return DiscreteFactor(np.moveaxis(self._table, i, -1).reshape(-1, self._table.shape[i]).sum(axis=1))
+        return DiscreteFactor(self._cond[i]["mass"])
 
     def conditional_complement(self, i: int, block_value) -> DiscreteFactor:
         """Pmf of theta_-i given theta_i, flattened in C order."""
@@ -286,8 +273,7 @@ class DiscreteTarget(TargetModel):
 
     def conditional_entropy_block(self, i: int) -> float:
         """H(theta_i | theta_-i)."""
-        mass = np.moveaxis(self._table, i, -1).reshape(-1, self._table.shape[i]).sum(axis=1)
-        rows = np.moveaxis(self._table, i, -1).reshape(-1, self._table.shape[i])
+        rows, mass = self._cond[i]["rows"], self._cond[i]["mass"]
         log_cond = _safe_log(rows) - _safe_log(mass)[:, None]
         return -float(np.sum(_xlogy(rows, log_cond)))
 
@@ -295,7 +281,7 @@ class DiscreteTarget(TargetModel):
         """I(theta_i; theta_-i) = KL(joint || product of the two marginals)."""
         p_i = self.marginal(i).pmf
         p_c = self.complement_marginal(i).pmf
-        joint = np.moveaxis(self._table, i, -1).reshape(-1, self._table.shape[i])
+        joint = self._cond[i]["rows"]
         log_ratio = _safe_log(joint) - (_safe_log(p_c)[:, None] + _safe_log(p_i)[None, :])
         return float(np.sum(_xlogy(joint, log_ratio)))
 
@@ -333,8 +319,7 @@ class DiscreteTarget(TargetModel):
         a zero conditional meets positive complement mass."""
         self._decomposition.check_index(i)
         w = self._factor_product(factors, i)
-        rows = np.moveaxis(self._table, i, -1).reshape(-1, self._table.shape[i])
-        mass = self._cond[i]["mass"]
+        rows, mass = self._cond[i]["rows"], self._cond[i]["mass"]
         active = w > 0
         if np.any(active & (mass <= 0)):
             raise ModelError(
@@ -373,7 +358,7 @@ class DiscreteTarget(TargetModel):
         if not isinstance(factor, DiscreteFactor):
             raise ModelError("discrete model needs discrete factors")
         self._decomposition.check_index(i)
-        rows = np.moveaxis(self._table, i, -1).reshape(-1, self._table.shape[i])  # (c, x)
+        rows = self._cond[i]["rows"]   # (c, x)
         marg_i = self.marginal(i).pmf
         log_cond_c = _safe_log(rows) - _safe_log(marg_i)[None, :]    # log pi(c|x)
         mask = factor.pmf > 0
@@ -397,9 +382,3 @@ class DiscreteTarget(TargetModel):
 
     def echo(self) -> dict:
         return {"family": "discrete", "support_sizes": list(self._table.shape)}
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, DiscreteTarget) and np.array_equal(self._table, other._table)
-
-    def __hash__(self):
-        return hash(self._table.tobytes())

@@ -124,17 +124,6 @@ class GaussianFactor(Factor):
         object.__setattr__(self, "_chol", chol)
         object.__setattr__(self, "_log_det", 2.0 * float(np.sum(np.log(np.diag(chol)))))
 
-    @classmethod
-    def _trusted(cls, mean: np.ndarray, cov: np.ndarray, chol: np.ndarray,
-                 log_det: float) -> "GaussianFactor":
-        # Construction bypass for factors built from the cached block entries.
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "mean", mean)
-        object.__setattr__(obj, "covariance", cov)
-        object.__setattr__(obj, "_chol", chol)
-        object.__setattr__(obj, "_log_det", log_det)
-        return obj
-
     @property
     def dim(self) -> int:
         return self.mean.size
@@ -240,8 +229,6 @@ class GaussianTarget(TargetModel):
         cov_i = 0.5 * (cov_i + cov_i.T)
         cov_c = np.linalg.inv(lam_cc)
         cov_c = 0.5 * (cov_c + cov_c.T)
-        chol_i = _spd_cholesky(cov_i, f"conditional covariance of block {i}")
-        chol_c = _spd_cholesky(cov_c, f"conditional covariance of complement of block {i}")
         return {
             "bi": bi,
             "ci": ci,
@@ -249,10 +236,7 @@ class GaussianTarget(TargetModel):
             "gain_c": cov_c @ lam_ic.T,      # theta_-i | theta_i regression
             "cov_i": cov_i,
             "cov_c": cov_c,
-            "chol_i": chol_i,
-            "chol_c": chol_c,
-            "log_det_i": 2.0 * float(np.sum(np.log(np.diag(chol_i)))),
-            "log_det_c": 2.0 * float(np.sum(np.log(np.diag(chol_c)))),
+            "chol_i": _spd_cholesky(cov_i, f"conditional covariance of block {i}"),
             "lam_ic": lam_ic,
         }
 
@@ -265,10 +249,6 @@ class GaussianTarget(TargetModel):
     @property
     def is_discrete(self) -> bool:
         return False
-
-    @property
-    def has_analytic_marginals(self) -> bool:
-        return True
 
     @property
     def log_evidence(self) -> float:
@@ -290,9 +270,6 @@ class GaussianTarget(TargetModel):
         """Normalized log posterior; accepts (D,) or (n, D)."""
         return self._joint.log_density(theta)
 
-    def log_unnormalized_posterior(self, theta) -> float:
-        return self.log_density(theta)
-
     def full_conditional(self, i: int, complement_values) -> GaussianFactor:
         """N(mu_i - Lambda_ii^{-1} Lambda_ic (x_c - mu_c), Lambda_ii^{-1})."""
         blk = self._blocks[self._decomposition.check_index(i)]
@@ -302,8 +279,7 @@ class GaussianTarget(TargetModel):
                 f"complement of block {i} has dim {blk['ci'].size}, got {x_c.size}"
             )
         cond_mean = self._mean[blk["bi"]] - blk["gain_i"] @ (x_c - self._mean[blk["ci"]])
-        return GaussianFactor._trusted(cond_mean, blk["cov_i"], blk["chol_i"],
-                                       blk["log_det_i"])
+        return GaussianFactor(cond_mean, blk["cov_i"])
 
     def block_sampler(self, i: int):
         """Conditional mean plus chol_i @ u_i, the arithmetic of
@@ -370,8 +346,7 @@ class GaussianTarget(TargetModel):
         blk = self._blocks[self._decomposition.check_index(i)]
         x_i = np.asarray(block_values, dtype=float).reshape(-1)
         cond_mean = self._mean[blk["ci"]] - blk["gain_c"] @ (x_i - self._mean[blk["bi"]])
-        return GaussianFactor._trusted(cond_mean, blk["cov_c"], blk["chol_c"],
-                                       blk["log_det_c"])
+        return GaussianFactor(cond_mean, blk["cov_c"])
 
     def information_equality(self, i: int, method: str = "auto") -> InfoEquality:
         """Tensor quadrature when the target is bivariate ("auto" picks it
@@ -433,8 +408,7 @@ class GaussianTarget(TargetModel):
         blk = self._blocks[self._decomposition.check_index(i)]
         m_c = np.concatenate([f.mean for j, f in enumerate(factors) if j != i])
         new_mean = self._mean[blk["bi"]] - blk["gain_i"] @ (m_c - self._mean[blk["ci"]])
-        return GaussianFactor._trusted(new_mean, blk["cov_i"], blk["chol_i"],
-                                       blk["log_det_i"])
+        return GaussianFactor(new_mean, blk["cov_i"])
 
     def cavi_fixed_point(self, i: int) -> GaussianFactor:
         """Factor with covariance Lambda_ii^{-1} whose mean solves the linear
@@ -445,8 +419,7 @@ class GaussianTarget(TargetModel):
         mean is the posterior mean block.
         """
         blk = self._blocks[self._decomposition.check_index(i)]
-        return GaussianFactor._trusted(self._mean[blk["bi"]].copy(), blk["cov_i"],
-                                       blk["chol_i"], blk["log_det_i"])
+        return GaussianFactor(self._mean[blk["bi"]], blk["cov_i"])
 
     def initial_factors(self, strategy: str) -> list[GaussianFactor]:
         if strategy in ("default", "marginals"):
@@ -516,17 +489,6 @@ class GaussianTarget(TargetModel):
     def sample(self, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
         """Exact joint draw(s) from the posterior."""
         return self._joint.sample(rng, size)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, GaussianTarget)
-            and self._decomposition == other._decomposition
-            and np.array_equal(self._mean, other._mean)
-            and np.array_equal(self._cov, other._cov)
-        )
-
-    def __hash__(self):
-        return hash((self._decomposition, self._mean.tobytes(), self._cov.tobytes()))
 
 
 def mutual_information(target: GaussianTarget, i: int) -> float:

@@ -28,6 +28,7 @@ __all__ = [
     "ChainTrace",
     "Estimate",
     "make_rng",
+    "check_init",
     "gibbs_cycle",
     "run_chain",
     "run_chains",
@@ -120,6 +121,13 @@ def _resolve_init(model: TargetModel, config: GibbsConfig,
     theta = dec.check_vector(np.asarray(init, dtype=float))
     model.log_density(theta)  # a start off the support raises here
     return theta, "explicit"
+
+
+def check_init(model: TargetModel, config: GibbsConfig) -> str:
+    """The init strategy name ``run_chain`` reports, resolved as it resolves
+    it but on a generator of its own, so an initializer the model cannot use
+    (ModelError or ValueError) shows before any chain runs."""
+    return _resolve_init(model, config, make_rng(config.seed))[1]
 
 
 def _scan(model: TargetModel, theta, rng: np.random.Generator,

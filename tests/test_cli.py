@@ -41,6 +41,27 @@ GAUSSIAN_FACTOR = {"type": "gaussian", "mean": [0.0], "covariance": [[1.0]]}
 VECTOR_BLOCK_MODEL = {"family": "gaussian", "mean": [0.0, 0.0, 0.0],
                       "covariance": [[1.0, 0.5, 0.0], [0.5, 1.0, 0.2], [0.0, 0.2, 1.0]],
                       "block_dims": [1, 2]}
+TABLE_2X2 = {"family": "discrete", "support_sizes": [2, 2], "joint_pmf": [0.4, 0.1, 0.2, 0.3]}
+# the report's schema: its CSV columns, and the key order of its JSON options and blocks
+REPORT_CSV_HEADER = (
+    "block,duality_gap,functional_at_conditional,log_complement_marginal,"
+    "attainment_abs_error,f_suite_max_excess,f_suite_min_distant_gap,concavity_min_slack,"
+    "mutual_information,complement_entropy,conditional_entropy,information_residual,"
+    "symmetric_information_residual,mi_mc,mi_mc_se,complement_entropy_mc,"
+    "complement_entropy_mc_se,conditional_entropy_mc,conditional_entropy_mc_se,"
+    "squashing_constant,min_squash_slack,kl_factor_to_marginal,kl_lower_bound_raw,"
+    "kl_lower_bound,passed")
+REPORT_OPTION_KEYS = ["suite_seed", "f_candidates", "concavity_mixtures",
+                      "squash_grid_points", "info_method"]
+REPORT_BLOCK_KEYS = [
+    "block", "duality_gap", "functional_at_conditional", "log_complement_marginal",
+    "attainment_abs_error", "f_suite_max_excess", "f_suite_min_distant_gap",
+    "concavity_min_slack", "mutual_information", "complement_entropy",
+    "conditional_entropy", "information_residual", "symmetric_information_residual",
+    "info_method", "mi_mc", "mi_mc_se", "complement_entropy_mc", "complement_entropy_mc_se",
+    "conditional_entropy_mc", "conditional_entropy_mc_se", "squashing_constant",
+    "min_squash_slack", "kl_factor_to_marginal", "kl_lower_bound_raw", "kl_lower_bound",
+    "checks"]
 
 
 def test_artifact_version_matches_project_version():
@@ -199,7 +220,9 @@ class TestDiagnose:
         assert report["failures"] == []
         csv_lines = (out / "report.csv").read_text().splitlines()
         assert len(csv_lines) == 3  # header + one row per block
-        assert csv_lines[0].startswith("block,duality_gap,")
+        assert csv_lines[0] == REPORT_CSV_HEADER
+        assert list(report["options"]) == REPORT_OPTION_KEYS
+        assert [list(block) for block in report["blocks"]] == [REPORT_BLOCK_KEYS] * 2
 
     def test_discrete_pipeline_exits_0(self, tmp_path):
         cfg = write_config(
@@ -305,6 +328,21 @@ class TestDiagnose:
         out = tmp_path / "out"
         assert main(["diagnose", "--config", str(cfg), "--out", str(out)]) == 2
         assert "cavi.init" in capsys.readouterr().err
+        assert calls == []
+        assert not (out / "report.json").exists()
+
+    def test_info_method_the_model_lacks_exits_2_before_the_chain(self, tmp_path, capsys,
+                                                                   monkeypatch):
+        import duality_bench.cli as cli
+
+        calls = []
+        monkeypatch.setattr(cli, "run_chains", lambda *args: calls.append(args))
+        cfg = write_config(tmp_path / "cfg.json", gibbs=DIAGNOSE_GIBBS,
+                           model={**VECTOR_BLOCK_MODEL, "block_dims": [1, 1, 1]},
+                           diagnostics={"suite_seed": 1, "info_method": "quadrature"})
+        out = tmp_path / "out"
+        assert main(["diagnose", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "diagnostics.info_method" in capsys.readouterr().err
         assert calls == []
         assert not (out / "report.json").exists()
 
@@ -414,6 +452,26 @@ class TestConfigValidation:
         )
         assert main(["run-gibbs", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert "model" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run-gibbs", "diagnose"])
+    @pytest.mark.parametrize("model, init", [
+        (None, "unifrom"),                  # no such strategy
+        (None, "uniform"),                  # a discrete strategy on the default Gaussian
+        (TABLE_2X2, "standard_normal"),     # a continuous strategy on a table
+        (None, [0.0, 0.0, 0.0]),            # three entries for two coordinates
+        (TABLE_2X2, [0.0, 2.0]),            # off the 2x2 support
+    ])
+    def test_unusable_gibbs_init_exits_2_before_the_chain(self, tmp_path, capsys, monkeypatch,
+                                                          command, model, init):
+        import duality_bench.cli as cli
+
+        calls = []
+        monkeypatch.setattr(cli, "run_chains", lambda *args: calls.append(args))
+        cfg = write_config(tmp_path / "cfg.json", **({"model": model} if model else {}),
+                           gibbs={**DIAGNOSE_GIBBS, "init": init})
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "gibbs.init" in capsys.readouterr().err
+        assert calls == []
 
     @pytest.mark.parametrize("command", ["run-gibbs", "diagnose"])
     @pytest.mark.parametrize("field, value", [
