@@ -30,7 +30,6 @@ from duality_bench.diagnostics import (
     ReportOptions,
     build_report,
     concavity_probe,
-    duality_functional,
     duality_gap,
     duality_suite,
     information_equality_check,

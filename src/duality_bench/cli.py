@@ -107,14 +107,19 @@ def _estimates_payload(cfg: RunConfig, model, traces: list[ChainTrace]) -> dict:
     }
 
 
-def _gibbs_config(cfg: RunConfig, model, seed: int | None):
-    """The chain settings, with the initializer tried on the model before any
-    chain runs: exit 2 naming ``gibbs.init`` when the model cannot use it."""
-    gibbs_cfg = cfg.gibbs_config(seed_override=seed)
+def _checked(key: str, fn, *args):
+    """``fn(*args)``, run before any chain or CAVI: a ModelError or ValueError
+    becomes a config error (exit 2) naming ``key``."""
     try:
-        check_init(model, gibbs_cfg)
+        return fn(*args)
     except (ModelError, ValueError) as exc:
-        raise ConfigError(f"gibbs.init: {exc}") from exc
+        raise ConfigError(f"{key}: {exc}") from exc
+
+
+def _gibbs_config(cfg: RunConfig, model, seed: int | None):
+    """The chain settings, with the initializer tried on the model first."""
+    gibbs_cfg = cfg.gibbs_config(seed_override=seed)
+    _checked("gibbs.init", check_init, model, gibbs_cfg)
     return gibbs_cfg
 
 
@@ -137,19 +142,7 @@ def _require_block_measures(model, key: str) -> None:
     """Exit 2 naming ``key`` unless every block has a measure (the report
     and the grid path both work on them)."""
     for i in range(model.decomposition.n_blocks):
-        try:
-            model.block_measure(i)
-        except ModelError as exc:
-            raise ConfigError(f"{key}: {exc}") from exc
-
-
-def _initial_factors(model, cavi_cfg) -> list:
-    """The CAVI starting factors, made before any work: exit 2 naming
-    ``cavi.init`` when the model or the path has no such initializer."""
-    try:
-        return initial_factors(model, cavi_cfg)
-    except ModelError as exc:
-        raise ConfigError(f"cavi.init: {exc}") from exc
+        _checked(key, model.block_measure, i)
 
 
 def cmd_run_cavi(args) -> int:
@@ -161,7 +154,7 @@ def cmd_run_cavi(args) -> int:
             raise ConfigError("cavi.path: the grid path needs continuous blocks; "
                               "discrete models use \"auto\"")
         _require_block_measures(model, "cavi.path")
-    state = run_cavi(model, cavi_cfg, _initial_factors(model, cavi_cfg))
+    state = run_cavi(model, cavi_cfg, _checked("cavi.init", initial_factors, model, cavi_cfg))
     out = _out_dir(args, cfg)
     payload = {
         "artifact_version": __version__,
@@ -203,25 +196,20 @@ def cmd_diagnose(args) -> int:
     _require_block_measures(model, "model.block_dims")
     options = cfg.diagnostics.report
     if options.info_method != "auto":   # "auto" picks a route every model has
-        try:
-            model.information_equality(0, options.info_method)
-        except ModelError as exc:
-            raise ConfigError(f"diagnostics.info_method: {exc}") from exc
-    state_file = cfg.diagnostics.state_file
-    if state_file is None:
-        state, cavi_cfg = None, cfg.cavi_config()
+        _checked("diagnostics.info_method", model.information_equality, 0, options.info_method)
+    gibbs_cfg = _gibbs_config(cfg, model, args.seed)
+    # CAVI draws no random numbers and takes milliseconds: run it before the
+    # chain, so that a model it cannot serve fails at once
+    if cfg.diagnostics.state_file is None:
+        cavi_cfg = cfg.cavi_config()
         if cavi_cfg.path == "grid":
             raise ConfigError("cavi.path: the report needs the family's closed-form "
                               "factors; diagnose uses \"auto\"")
-        init = _initial_factors(model, cavi_cfg)
+        state = run_cavi(model, cavi_cfg, _checked("cavi.init", initial_factors, model, cavi_cfg))
     else:
-        state = _load_state_file(state_file, model)
-    gibbs_cfg = _gibbs_config(cfg, model, args.seed)
+        state = _load_state_file(cfg.diagnostics.state_file, model)
     traces = run_chains(model, gibbs_cfg, args.parallel_chains)
-    trace = pooled_trace(traces)
-    if state is None:
-        state = run_cavi(model, cavi_cfg, init)
-    report = build_report(model, trace, state, options)
+    report = build_report(model, pooled_trace(traces), state, options)
     out = _out_dir(args, cfg)
     if "json" in cfg.output_formats:
         write_json(out / "report.json", {

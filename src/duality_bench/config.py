@@ -71,7 +71,6 @@ class DiagnosticsSettings:
 class RunConfig:
     """Parsed configuration file; sections are None when absent."""
 
-    raw: dict
     model_section: dict
     gibbs_section: dict | None
     cavi_section: dict | None
@@ -173,18 +172,18 @@ def load_config(path) -> RunConfig:
 
     diag_raw = _as_section(raw.get("diagnostics", {}), "diagnostics")
     defaults = DiagnosticsSettings()
-    grid_points = _as_int(diag_raw.get("grid_points", defaults.report.squash_grid_points),
-                          "diagnostics.grid_points")
-    if grid_points < 2:
-        raise ConfigError("diagnostics.grid_points: must be at least 2")
-    trials = _as_int(diag_raw.get("duality_trials", defaults.duality_trials),
-                     "diagnostics.duality_trials")
-    if trials < 1:
-        raise ConfigError("diagnostics.duality_trials: empty suite forbidden")
-    f_candidates = _as_int(diag_raw.get("f_candidates", defaults.report.f_candidates),
-                           "diagnostics.f_candidates")
-    mixtures = _as_int(diag_raw.get("concavity_mixtures", defaults.report.concavity_mixtures),
-                       "diagnostics.concavity_mixtures")
+
+    def count(key: str, default: int, minimum: int) -> int:
+        value = _as_int(diag_raw.get(key, default), f"diagnostics.{key}")
+        if value < minimum:
+            raise ConfigError(f"diagnostics.{key}: must be at least {minimum}")
+        return value
+
+    grid_points = count("grid_points", defaults.report.squash_grid_points, 2)
+    trials = count("duality_trials", defaults.duality_trials, 1)
+    # the report takes a max or min over each suite: an empty one is +-inf
+    f_candidates = count("f_candidates", defaults.report.f_candidates, 1)
+    mixtures = count("concavity_mixtures", defaults.report.concavity_mixtures, 1)
     suite_seed = _as_int(diag_raw.get("suite_seed", defaults.report.suite_seed),
                          "diagnostics.suite_seed")
     if not 0 <= suite_seed < MAX_SEED:
@@ -213,7 +212,6 @@ def load_config(path) -> RunConfig:
         raise ConfigError('output.formats: expected a non-empty subset of ["json", "csv"]')
 
     return RunConfig(
-        raw=raw,
         model_section=model_section,
         gibbs_section=gibbs_section,
         cavi_section=cavi_section,

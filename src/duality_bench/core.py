@@ -194,17 +194,6 @@ class TargetModel(ABC):
         block on which no measure is defined.
         """
 
-    def conditional_normalization(self, i: int, complement_values) -> float:
-        """Mass of exp(log_density) of the full conditional on the block measure.
-
-        Reference check backing the contract that full conditionals are
-        normalized densities (== 1 within 1e-8).
-        """
-        nodes, weights = self.block_measure(i)
-        cond = self.full_conditional(i, complement_values)
-        values = np.exp(np.asarray(cond.log_density(nodes.reshape(-1, 1))))
-        return float(np.sum(weights * values))
-
     # --- closed-form primitives ---------------------------------------------
 
     def _no_closed_form(self, what: str) -> ModelError:

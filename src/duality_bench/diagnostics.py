@@ -46,7 +46,6 @@ __all__ = [
     "make_discrete_duality_problem",
     "duality_gap",
     "duality_suite",
-    "duality_functional",
     "concavity_probe",
     "InfoEquality",
     "information_equality_check",
@@ -172,7 +171,6 @@ def duality_gap(problem: DualityProblem) -> float:
 @dataclass(frozen=True)
 class DualityTrial:
     trial: int
-    family: str
     at_optimum: bool
     gap: float
 
@@ -223,8 +221,8 @@ def duality_suite(family: str, trials: int, seed: int) -> list[DualityTrial]:
             tilt /= tilt.sum()
             gap_rand = duality_gap(make_discrete_duality_problem(p, h, q))
             gap_tilt = duality_gap(make_discrete_duality_problem(p, h, tilt))
-        out.append(DualityTrial(trial=t, family=family, at_optimum=False, gap=gap_rand))
-        out.append(DualityTrial(trial=t, family=family, at_optimum=True, gap=gap_tilt))
+        out.append(DualityTrial(trial=t, at_optimum=False, gap=gap_rand))
+        out.append(DualityTrial(trial=t, at_optimum=True, gap=gap_tilt))
     return out
 
 
@@ -272,6 +270,8 @@ class _FunctionalWorkspace:
         return self._renormalize(q.values_at(self.grid))
 
     def value(self, q_values: np.ndarray) -> float:
+        """F{q} for q's values at the block nodes; at most ``log_bound``, with
+        equality only at the full conditional."""
         mass = self.weights * q_values
         support = mass > 0
         if np.any(support & np.isneginf(self.log_marginal)):
@@ -295,13 +295,6 @@ class _FunctionalWorkspace:
         if abs(mass - 1.0) > 1e-10:
             raise ModelError(f"mixture mass {mass!r} deviates from 1 beyond 1e-10")
         return self.value(mix) - (a * self.value(pv) + (1.0 - a) * self.value(qv))
-
-
-def duality_functional(model: TargetModel, i: int, complement_value, q) -> float:
-    """F{q} at a fixed complement point; <= log pi(theta_-i | y) there,
-    with equality only at the full conditional."""
-    ws = _FunctionalWorkspace(model, i, complement_value)
-    return ws.value(ws.density_values(q))
 
 
 def concavity_probe(model: TargetModel, i: int, complement_value, p, q,

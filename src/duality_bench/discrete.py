@@ -47,7 +47,8 @@ def _state_indices(values, shape) -> np.ndarray:
     """Integer states of the rows of ``values`` in a table of ``shape``.
 
     Raises ValueError unless each entry lies within 1e-9 of an integer inside
-    the support.
+    the support; both are tested on the floats, so only in-range states are
+    cast, and a bad row is named as given.
     """
     values = np.asarray(values, dtype=float)
     if values.ndim != 2 or values.shape[1] != len(shape):
@@ -57,7 +58,7 @@ def _state_indices(values, shape) -> np.ndarray:
         raise ValueError("discrete states must be integer-valued")
     outside = np.any((ints < 0) | (ints >= np.asarray(shape)), axis=1)
     if np.any(outside):
-        raise ValueError(f"state {ints[outside][0].astype(int).tolist()} outside support {shape}")
+        raise ValueError(f"state {values[outside][0].tolist()} outside support {shape}")
     return ints.astype(int)
 
 
@@ -131,8 +132,8 @@ class DiscreteTarget(TargetModel):
             raise ValueError("need at least 2 blocks (K > 1)")
         if table.ndim > MAX_BLOCKS:
             raise ValueError(f"at most {MAX_BLOCKS} blocks supported")
-        if max(table.shape) > MAX_SUPPORT:
-            raise ValueError(f"support sizes must be <= {MAX_SUPPORT}")
+        if not 2 <= min(table.shape) <= max(table.shape) <= MAX_SUPPORT:
+            raise ValueError(f"support sizes must lie in [2, {MAX_SUPPORT}]")
         if np.any(table < 0) or not np.all(np.isfinite(table)):
             raise ModelError("joint pmf entries must be finite and nonnegative")
         total = float(table.sum())
@@ -238,30 +239,12 @@ class DiscreteTarget(TargetModel):
         self._decomposition.check_index(i)
         return DiscreteFactor(self._cond[i]["mass"])
 
-    def conditional_complement(self, i: int, block_value) -> DiscreteFactor:
-        """Pmf of theta_-i given theta_i, flattened in C order."""
-        self._decomposition.check_index(i)
-        k = int(np.asarray(block_value).reshape(-1)[0])
-        slab = np.take(self._table, k, axis=i)
-        mass = float(slab.sum())
-        if mass <= 0:
-            raise ZeroMassError(f"block {i} value {k} has zero marginal mass")
-        return DiscreteFactor(slab.reshape(-1) / mass)
-
     def log_marginals(self, i: int, samples) -> tuple[np.ndarray, np.ndarray]:
         self._decomposition.check_index(i)
         idx = _state_indices(samples, self._table.shape)
         flat = np.ravel_multi_index(np.delete(idx, i, axis=1).T, self._complement_shape(i))
         return (_safe_log(self.marginal(i).pmf)[idx[:, i]],
                 _safe_log(self.complement_marginal(i).pmf)[flat])
-
-    def block_entropy(self, i: int) -> float:
-        """H(theta_i), exact summation of the block marginal."""
-        return self.marginal(i).entropy()
-
-    def complement_entropy(self, i: int) -> float:
-        """H(theta_-i), exact summation of the complement marginal."""
-        return self.complement_marginal(i).entropy()
 
     def conditional_entropy_complement(self, i: int) -> float:
         """H(theta_-i | theta_i) = -sum_theta pi(theta) log pi(theta_-i | theta_i)."""
@@ -286,12 +269,15 @@ class DiscreteTarget(TargetModel):
         return float(np.sum(_xlogy(joint, log_ratio)))
 
     def information_equality(self, i: int, method: str = "auto") -> InfoEquality:
-        """Exact summation, whatever the method."""
+        """Exact summation, the one route of a table: ModelError for any
+        method but "auto"."""
+        if method != "auto":
+            raise ModelError(f"a discrete model sums exactly; {method!r} does not apply")
         return InfoEquality(
             mutual_information=self.mutual_information(i),
-            complement_entropy=self.complement_entropy(i),
+            complement_entropy=self.complement_marginal(i).entropy(),
             conditional_entropy=self.conditional_entropy_complement(i),
-            block_entropy=self.block_entropy(i),
+            block_entropy=self.marginal(i).entropy(),
             conditional_block_entropy=self.conditional_entropy_block(i),
             method="enumeration",
         )

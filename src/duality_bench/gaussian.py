@@ -34,7 +34,6 @@ __all__ = [
     "GaussianFactor",
     "GaussianTarget",
     "kl_divergence",
-    "entropy",
     "mutual_information",
 ]
 
@@ -153,12 +152,8 @@ class GaussianFactor(Factor):
         return self.mean + rng.standard_normal((size, self.dim)) @ self._chol.T
 
     def entropy(self) -> float:
+        """Differential entropy -int f log f = 1/2 log det(2 pi e Sigma)."""
         return 0.5 * self.dim * (_LOG_2PI + 1.0) + 0.5 * self._log_det
-
-
-def entropy(factor: GaussianFactor) -> float:
-    """Differential entropy -int f log f = 1/2 log det(2 pi e Sigma)."""
-    return factor.entropy()
 
 
 def _gaussian_factors(factors) -> list:
@@ -207,6 +202,12 @@ class GaussianTarget(TargetModel):
             raise ModelError(
                 f"covariance condition number {eigvals.max() / eigvals.min():.3e} exceeds 1e8"
             )
+        for k in range(d):   # the block measures and the report's grids span these
+            with np.errstate(over="ignore", invalid="ignore"):
+                grid = gaussian_grid(mean[k], np.sqrt(cov[k, k]))
+            if not (np.isfinite(grid).all() and np.all(np.diff(grid) > 0)):
+                raise ModelError(f"coordinate {k + 1}: the +-8 sd grid around {float(mean[k])!r} "
+                                 "is not finite and strictly increasing")
         self._joint = GaussianFactor(mean, cov)   # freezes mean and cov
         self._mean, self._cov = self._joint.mean, self._joint.covariance
         self._decomposition = decomposition
@@ -364,9 +365,9 @@ class GaussianTarget(TargetModel):
             # conditional entropies from the Schur-complement covariances
             return InfoEquality(
                 mutual_information(self, i),
-                entropy(self.complement_marginal(i)),
+                self.complement_marginal(i).entropy(),
                 self.conditional_complement(i, self._mean[dec.block_slice(i)]).entropy(),
-                entropy(self.marginal(i)),
+                self.marginal(i).entropy(),
                 self.full_conditional(i, self._mean[dec.complement_indices(i)]).entropy(),
                 method="closed_form",
             )
@@ -400,26 +401,16 @@ class GaussianTarget(TargetModel):
         """Lemma-style analytic update: the exponentiated expected log full
         conditional under Gaussian complement factors; None for other factors.
 
-        The update covariance is Lambda_ii^{-1} regardless of the complement
-        factor covariances; only the complement means enter.
+        The log full conditional is quadratic in theta_-i, so, up to a
+        constant in theta_i, its expectation depends on the complement factors
+        through their means alone: the update is the full conditional at those
+        means. With delta = m - mu the fixed point solves (Lambda delta)_i = 0
+        for every block, so it is the full conditional at the posterior mean.
         """
         if not all(isinstance(f, GaussianFactor) for f in factors):
             return None
-        blk = self._blocks[self._decomposition.check_index(i)]
-        m_c = np.concatenate([f.mean for j, f in enumerate(factors) if j != i])
-        new_mean = self._mean[blk["bi"]] - blk["gain_i"] @ (m_c - self._mean[blk["ci"]])
-        return GaussianFactor(new_mean, blk["cov_i"])
-
-    def cavi_fixed_point(self, i: int) -> GaussianFactor:
-        """Factor with covariance Lambda_ii^{-1} whose mean solves the linear
-        fixed-point system of the coordinate updates.
-
-        With delta = m - mu the stationarity conditions read (Lambda delta)_i = 0
-        for every block, and Lambda is nonsingular, so delta = 0: the fixed-point
-        mean is the posterior mean block.
-        """
-        blk = self._blocks[self._decomposition.check_index(i)]
-        return GaussianFactor(self._mean[blk["bi"]], blk["cov_i"])
+        return self.full_conditional(i, np.concatenate(
+            [f.mean for j, f in enumerate(factors) if j != i]))
 
     def initial_factors(self, strategy: str) -> list[GaussianFactor]:
         if strategy in ("default", "marginals"):
@@ -485,10 +476,6 @@ class GaussianTarget(TargetModel):
             "mean": self._mean.tolist(),
             "covariance": self._cov.tolist(),
         }
-
-    def sample(self, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
-        """Exact joint draw(s) from the posterior."""
-        return self._joint.sample(rng, size)
 
 
 def mutual_information(target: GaussianTarget, i: int) -> float:

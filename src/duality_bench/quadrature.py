@@ -187,10 +187,3 @@ class GridFactor(Factor):
     @property
     def weights(self) -> np.ndarray:
         return trapezoid_weights(self.grid)
-
-    def mean(self) -> float:
-        return float(np.sum(self.weights * self.values * self.grid))
-
-    def variance(self) -> float:
-        m = self.mean()
-        return float(np.sum(self.weights * self.values * (self.grid - m) ** 2))

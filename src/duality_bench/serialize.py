@@ -39,11 +39,7 @@ def format_value(x) -> str:
 def _emit_json(obj, out: list[str]) -> None:
     if obj is None:
         out.append("null")
-    elif isinstance(obj, (bool, np.bool_)):
-        out.append("true" if obj else "false")
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
+    elif isinstance(obj, (bool, np.bool_, int, np.integer, float, np.floating)):
         out.append(format_value(obj))
     elif isinstance(obj, str):
         import json

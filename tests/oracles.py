@@ -141,6 +141,16 @@ def minimize_block_kl(table, i, factors, resolution=8, final_step=1e-9):
 # --------------------------------------------------------------------------
 
 
+def cavi_fixed_point(model):
+    """The Gaussian CAVI fixed point, one factor per block. With m the factor
+    means, the fixed-point equations read (Lambda (m - mu))_i = 0 for every
+    block, so m = mu: factor i is block i's full conditional at the posterior
+    mean of its complement."""
+    dec = model.decomposition
+    return [model.full_conditional(i, model.mean[dec.complement_indices(i)])
+            for i in range(dec.n_blocks)]
+
+
 def reference_scan(model, theta, rng, n_cycles):
     """Rows of n_cycles systematic scans from theta, each block drawn by
     ``model.full_conditional(i, theta_-i).sample(rng)``: the per-block

@@ -11,15 +11,18 @@ from duality_bench.cli import main
 from duality_bench.serialize import dumps_json
 
 
+DEFAULT_MODEL = {
+    "family": "gaussian",
+    "mean": [0.0, 0.0],
+    "covariance": [[1.0, 0.5], [0.5, 1.0]],
+    "block_dims": [1, 1],
+}
+
+
 def write_config(path, **overrides):
     cfg = {
         "config_version": 1,
-        "model": {
-            "family": "gaussian",
-            "mean": [0.0, 0.0],
-            "covariance": [[1.0, 0.5], [0.5, 1.0]],
-            "block_dims": [1, 1],
-        },
+        "model": DEFAULT_MODEL,
         "gibbs": {"n_cycles": 2000, "burn_in": 200, "seed": 3},
         "cavi": {"max_cycles": 100, "tolerance": 1e-10},
         "diagnostics": {"suite_seed": 1, "duality_trials": 25},
@@ -472,6 +475,48 @@ class TestConfigValidation:
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert "gibbs.init" in capsys.readouterr().err
         assert calls == []
+
+    @pytest.mark.parametrize("command, overrides, code, named", [
+        # each count is a min or max over a suite: an empty one is +-inf
+        ("diagnose", {"diagnostics": {"f_candidates": 0}}, 2, "diagnostics.f_candidates"),
+        ("diagnose", {"diagnostics": {"concavity_mixtures": -1}}, 2,
+         "diagnostics.concavity_mixtures"),
+        # no candidate on a one-point support is distant from the conditional
+        ("diagnose", {"model": {**TABLE_2X2, "support_sizes": [1, 4]}}, 2,
+         "model: support sizes"),
+        # the +-8 sd grid of coordinate 1 is one repeated float
+        ("run-gibbs", {"model": {**DEFAULT_MODEL, "mean": [1e308, 0.0]}}, 2,
+         "model: coordinate 1"),
+        ("diagnose", {"model": {**DEFAULT_MODEL, "mean": [1e308, 0.0]}}, 2,
+         "model: coordinate 1"),
+        # far outside the support, named as given
+        ("run-gibbs", {"model": TABLE_2X2, "gibbs": {**DIAGNOSE_GIBBS, "init": [1e300, 0.0]}},
+         2, "gibbs.init: state [1e+300, 0.0]"),
+        ("diagnose", {"model": TABLE_2X2, "gibbs": {**DIAGNOSE_GIBBS, "init": [1e300, 0.0]}},
+         2, "gibbs.init: state [1e+300, 0.0]"),
+        # a table has one route, exact summation
+        ("diagnose", {"model": TABLE_2X2, "diagnostics": {"info_method": "quadrature"}}, 2,
+         "diagnostics.info_method"),
+        # CAVI cannot serve these tables, and runs before the chain
+        ("diagnose", {"model": {**TABLE_2X2, "joint_pmf": [1.0, 0.0, 0.0, 0.0]}}, 3,
+         "runtime error: block 0"),
+        ("diagnose", {"model": {**TABLE_2X2, "joint_pmf": [0.5, 0.0, 0.0, 0.5]}}, 3,
+         "runtime error: block 0"),
+    ], ids=["f_candidates-0", "concavity_mixtures-neg", "support-size-1", "mean-1e308-gibbs",
+            "mean-1e308-diagnose", "init-1e300-gibbs", "init-1e300-diagnose",
+            "table-quadrature", "zero-cells-1000", "zero-cells-diagonal"])
+    def test_schema_accepted_input_fails_before_the_chain(self, tmp_path, capsys, monkeypatch,
+                                                          command, overrides, code, named):
+        import duality_bench.cli as cli
+
+        calls = []
+        monkeypatch.setattr(cli, "run_chains", lambda *args: calls.append(args))
+        cfg = write_config(tmp_path / "cfg.json", **overrides)
+        out = tmp_path / "out"   # pytest turns any warning into an error
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == code
+        assert named in capsys.readouterr().err
+        assert calls == []
+        assert not out.exists() or not any(out.iterdir())
 
     @pytest.mark.parametrize("command", ["run-gibbs", "diagnose"])
     @pytest.mark.parametrize("field, value", [

@@ -18,7 +18,6 @@ from duality_bench import (
     SupportError,
     build_report,
     concavity_probe,
-    duality_functional,
     duality_gap,
     duality_suite,
     information_equality_check,
@@ -32,7 +31,7 @@ from duality_bench import (
     squashing_constant,
 )
 from duality_bench.cavi import MeanFieldState
-from duality_bench.diagnostics import info_monte_carlo
+from duality_bench.diagnostics import _FunctionalWorkspace, info_monte_carlo
 from duality_bench.serialize import dumps_json
 
 from oracles import kl_quadrature, normal_logpdf, quad, random_table, trap_weights
@@ -42,6 +41,12 @@ TABLE = np.array([[0.4, 0.1], [0.2, 0.3]])
 
 def bivariate(rho):
     return GaussianTarget([0, 0], [[1, rho], [rho, 1]], make_decomposition([1, 1]))
+
+
+def functional(model, i, complement_value, q):
+    """F{q} at a fixed complement point, by the report's own workspace."""
+    ws = _FunctionalWorkspace(model, i, complement_value)
+    return ws.value(ws.density_values(q))
 
 
 def converged_state(model, tolerance=1e-12):
@@ -117,7 +122,7 @@ class TestDualityFunctional:
         # rho=0.5, theta2=1: maximum value is log of the N(0,1) pdf at 1
         model = bivariate(0.5)
         cond = model.full_conditional(0, [1.0])
-        value = duality_functional(model, 0, [1.0], cond)
+        value = functional(model, 0, [1.0], cond)
         log_phi_1 = float(normal_logpdf(np.array([1.0]), 0.0, 1.0)[0])
         assert value == pytest.approx(log_phi_1, abs=1e-8)
         assert value == pytest.approx(-1.4189385332046727, abs=1e-8)
@@ -126,9 +131,9 @@ class TestDualityFunctional:
         model = bivariate(0.0)
         theta2 = 0.8
         bound = float(normal_logpdf(np.array([theta2]), 0.0, 1.0)[0])
-        at_marginal = duality_functional(model, 0, [theta2], model.marginal(0))
+        at_marginal = functional(model, 0, [theta2], model.marginal(0))
         assert at_marginal == pytest.approx(bound, abs=1e-10)
-        worse = duality_functional(model, 0, [theta2], GaussianFactor([1.0], [[0.5]]))
+        worse = functional(model, 0, [theta2], GaussianFactor([1.0], [[0.5]]))
         assert worse < bound - 1e-3
 
     def test_bound_holds_for_random_candidates(self):
@@ -139,7 +144,7 @@ class TestDualityFunctional:
         cond = model.full_conditional(0, c)
         for _ in range(50):
             q = GaussianFactor([rng.uniform(-2, 2)], [[rng.uniform(0.25, 4)]])
-            value = duality_functional(model, 0, c, q)
+            value = functional(model, 0, c, q)
             assert value <= bound + 1e-8
             distinct = (abs(q.mean[0] - cond.mean[0]) > 1e-3
                         or abs(q.covariance[0, 0] - cond.covariance[0, 0]) > 1e-3)
@@ -149,14 +154,14 @@ class TestDualityFunctional:
     def test_discrete_attainment_exact(self):
         model = DiscreteTarget(TABLE)
         cond = model.full_conditional(0, [1])
-        value = duality_functional(model, 0, [1], cond)
+        value = functional(model, 0, [1], cond)
         bound = float(np.log(model.complement_marginal(0).pmf[1]))
         assert value == pytest.approx(bound, abs=1e-12)
 
     def test_support_violation(self):
         model = DiscreteTarget([[0.5, 0.5], [0.0, 0.0]])
         with pytest.raises(SupportError):
-            duality_functional(model, 0, [0], DiscreteFactor([0.5, 0.5]))
+            functional(model, 0, [0], DiscreteFactor([0.5, 0.5]))
 
 
 class TestConcavityProbe:
