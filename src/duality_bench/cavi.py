@@ -11,12 +11,13 @@ update paths share that contract:
 - grid tabulation, for any continuous target with 1-D blocks (expectations
   by tensor trapezoid quadrature on the nodes of the factors' grids).
 
-The engine never asks which family it runs: "auto" takes the target's
-closed-form update and factors where it has them and the grid path
-otherwise. It is deterministic: there is no randomness beyond the
-initializer, and the default initializers are deterministic (exact marginals
-for Gaussian models, uniform for discrete, standard normal tables for the
-grid path).
+The engine takes the path it is given: "auto" takes the target's
+closed-form update and factors (ModelError on a target without them), and
+"grid" tabulates, asking the target only ``is_discrete``. The CAVI objective
+is a KL because ``TargetModel.log_density`` is normalized. The engine is
+deterministic: there is no randomness beyond the initializer, and the
+default initializers are deterministic (exact marginals for Gaussian
+models, uniform for discrete, standard normal tables for the grid path).
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ class CaviConfig:
     Convergence is declared when the largest per-cycle factor change (sup
     norm over parameters or table values) drops below ``tolerance``.
     ``path`` picks the update mechanism: "auto" uses the target's closed-form
-    update where it has one; "grid" forces the tabulated route.
+    update; "grid" the tabulated route.
     """
 
     max_cycles: int = 200
@@ -88,10 +89,6 @@ class MeanFieldState:
     objective_history: tuple[float, ...]
     converged: bool
     max_change: float
-
-    @property
-    def n_blocks(self) -> int:
-        return len(self.factors)
 
 
 def _expected_log_joint(model: TargetModel, factors, i: int) -> np.ndarray:
@@ -145,10 +142,7 @@ def _step(model: TargetModel, factors, i: int, path: str):
     built it from (None on the closed-form path)."""
     model.decomposition.check_index(i)
     if path == "auto":
-        update = model.cavi_update(factors, i)
-        if update is not None:
-            return update, None
-        path = "grid"
+        return model.cavi_update(factors, i), None
     if path == "grid":
         expected = _expected_log_joint(model, factors, i)
         return GridFactor.from_log_values(factors[i].grid, expected), expected
@@ -166,13 +160,12 @@ def cavi_update(model: TargetModel, factors, i: int, path: str = "auto"):
 
 
 def initial_factors(model: TargetModel, config: CaviConfig) -> list:
-    """``run_cavi``'s starting factors for ``config.init``: the target's own,
-    or, on the grid path or for a target without them, standard-normal tables
-    on the block measures' nodes. ModelError when there is no such initializer.
+    """``run_cavi``'s starting factors for ``config.init``: the target's own on
+    the "auto" path, standard-normal tables on the block measures' nodes on the
+    grid path. ModelError when there is no such initializer.
     """
-    factors = None if config.path == "grid" else model.initial_factors(config.init)
-    if factors is not None:
-        return factors
+    if config.path == "auto":
+        return model.initial_factors(config.init)
     if config.init not in ("default", "standard_normal"):
         raise ModelError(f"grid path has no {config.init!r} initializer")
     grids = [model.block_measure(i)[0] for i in range(model.decomposition.n_blocks)]
@@ -184,19 +177,10 @@ def run_cavi(model: TargetModel, config: CaviConfig,
     """Iterate coordinate updates until convergence or ``max_cycles``.
 
     Non-convergence is a result, not an error: the returned state carries
-    ``converged=False``. The objective history is tracked whenever the model
-    is normalized (both built-in families are).
+    ``converged=False``.
     """
     factors = list(initial_factors(model, config) if init_factors is None else init_factors)
-    history: list[float] = []
-    track_objective = model.log_evidence is not None
-    if track_objective:
-        try:
-            history.append(kl_objective(model, factors))
-        except ModelError:
-            # objective not computable for these factors (e.g. closed-form
-            # factors of a target without product_kl); run without tracking
-            track_objective = False
+    history = [kl_objective(model, factors)]
     cycles = 0
     converged = False
     change = np.inf
@@ -206,10 +190,9 @@ def run_cavi(model: TargetModel, config: CaviConfig,
             new, expected = _step(model, factors, i, config.path)
             change = max(change, factors[i].change(new))
             factors[i] = new
-            if track_objective:
-                # E_i depends only on the factors j != i, so it still holds
-                history.append(kl_objective(model, factors) if expected is None
-                               else _grid_kl(model, factors, i, expected))
+            # E_i depends only on the factors j != i, so it still holds
+            history.append(kl_objective(model, factors) if expected is None
+                           else _grid_kl(factors, i, expected))
         cycles += 1
         if change < config.tolerance:
             converged = True
@@ -228,26 +211,24 @@ def kl_objective(model: TargetModel, factors) -> float:
 
     For grid factors, the tensor-quadrature form of :func:`_grid_kl` on block
     0's expectation (any K the grid update accepts); the target's closed form
-    (``TargetModel.product_kl``) otherwise. Needs a normalized target (known
-    evidence). ``run_cavi`` calls it on grid factors only for the starting
-    point: after a grid update it reuses that update's expectation.
+    (``TargetModel.product_kl``) otherwise. ``run_cavi`` calls it on grid
+    factors only for the starting point: after a grid update it reuses that
+    update's expectation.
     """
     factors = list(factors)
-    if model.log_evidence is None:
-        raise ModelError("objective requires normalized target (unknown evidence)")
     if all(isinstance(f, GridFactor) for f in factors):
-        return _grid_kl(model, factors, 0, _expected_log_joint(model, factors, 0))
+        return _grid_kl(factors, 0, _expected_log_joint(model, factors, 0))
     return model.product_kl(factors)
 
 
-def _grid_kl(model: TargetModel, factors, i: int, expected: np.ndarray) -> float:
+def _grid_kl(factors, i: int, expected: np.ndarray) -> float:
     """KL of grid factors from E_i = ``_expected_log_joint(model, factors, i)``:
-    sum_j E_qj[log q_j] - E_qi[E_i] + log Z."""
+    sum_j E_qj[log q_j] - E_qi[E_i] (no log Z: the target is normalized)."""
     masses = [f.weights * f.values for f in factors]
     entropy_terms = sum(float(np.sum(m[m > 0] * f.log_values[m > 0]))
                         for m, f in zip(masses, factors))
     cross = float(np.sum(masses[i] * expected))
-    return entropy_terms - cross + model.log_evidence
+    return entropy_terms - cross
 
 
 # --- JSON forms (converged-state export / import) ---------------------------

@@ -5,11 +5,12 @@ partitioned into K >= 2 contiguous blocks. Matrix-valued blocks are expected
 to be row-major flattened by the caller; only flat vectors appear in this API.
 
 Everything downstream (Gibbs, CAVI, diagnostics) is written against
-:class:`TargetModel` and never asks which family it runs. A family supplies
-the densities the duality checks are stated over, each as one primitive:
+:class:`TargetModel`; beyond ``is_discrete`` it never asks which family it
+runs. A family supplies the densities the duality checks are stated over,
+each as one primitive:
 
-- ``log_density``: the log posterior, unnormalized, at a point or at each
-  row of a sample array;
+- ``log_density``: the normalized log posterior, at a point or at each row
+  of a sample array;
 - ``block_sampler``: the Gibbs step of one block, a full-conditional draw
   written into the parameter vector from a row of pre-drawn noise;
 - ``block_measure``: nodes and weights for one block (trapezoid weights on a
@@ -23,8 +24,7 @@ the densities the duality checks are stated over, each as one primitive:
 - ``block_kl_terms`` and ``information_equality``: the per-block KL bound
   and the information quantities, each by the family's own route;
 - ``cavi_update`` and ``initial_factors``: closed-form coordinate updates
-  and starting factors, or None where the family has none (the CAVI engine
-  then tabulates on the block grids);
+  and starting factors, the CAVI engine's ``"auto"`` path;
 - ``random_factor``, ``reference_point`` and ``echo``: candidate factors,
   the default complement point and the report's model description.
 
@@ -143,9 +143,9 @@ class TargetModel(ABC):
 
     Implementations must be immutable and their evaluations pure, so shared
     read-only use from multiple threads is safe. Only the abstract members
-    are needed for Gibbs sampling and grid-tabulated CAVI; the diagnostics
-    need the closed-form primitives below, which raise :class:`ModelError`
-    on a family that has none.
+    are needed for Gibbs sampling and grid-tabulated CAVI; closed-form CAVI
+    and the diagnostics need the closed-form primitives below, which raise
+    :class:`ModelError` on a family that has none.
     """
 
     @property
@@ -156,14 +156,9 @@ class TargetModel(ABC):
     @abstractmethod
     def is_discrete(self) -> bool: ...
 
-    @property
-    def log_evidence(self) -> float | None:
-        """log normalizing constant of the posterior, when known (None otherwise)."""
-        return None
-
     @abstractmethod
     def log_density(self, theta):
-        """Log unnormalized posterior: a float at a point (D,), an array at the
+        """Normalized log posterior: a float at a point (D,), an array at the
         rows of (n, D); -inf where the posterior has no mass, ValueError at a
         point outside the declared support."""
 
@@ -228,14 +223,12 @@ class TargetModel(ABC):
         raise self._no_closed_form("the information equalities")
 
     def cavi_update(self, factors, i: int):
-        """Closed-form coordinate update of factor i, or None when the family
-        has none for these factors."""
-        return None
+        """Closed-form coordinate update of factor i, a factor of the family."""
+        raise self._no_closed_form("coordinate updates")
 
-    def initial_factors(self, strategy: str) -> list | None:
-        """Starting factors for the named CAVI strategy, or None when the
-        family has no closed-form factors."""
-        return None
+    def initial_factors(self, strategy: str) -> list:
+        """Starting factors of the family for the named CAVI strategy."""
+        raise self._no_closed_form("starting factors")
 
     def random_factor(self, i: int, rng: np.random.Generator):
         """A random candidate density for block i."""

@@ -167,10 +167,6 @@ class DiscreteTarget(TargetModel):
         return True
 
     @property
-    def log_evidence(self) -> float:
-        return 0.0
-
-    @property
     def support_sizes(self) -> tuple[int, ...]:
         return self._table.shape
 
@@ -319,11 +315,8 @@ class DiscreteTarget(TargetModel):
         log_cond = _safe_log(rows[active]) - _safe_log(mass[active])[:, None]
         return w[active] @ log_cond
 
-    def cavi_update(self, factors, i: int) -> DiscreteFactor | None:
-        """Normalized exp of the expected log full conditional of block i;
-        None for factors that are not pmfs."""
-        if not all(isinstance(f, DiscreteFactor) for f in factors):
-            return None
+    def cavi_update(self, factors, i: int) -> DiscreteFactor:
+        """Normalized exp of the expected log full conditional of block i."""
         g = self.expected_log_conditional(factors, i)
         nu = np.exp(g - g.max())
         return DiscreteFactor(nu / nu.sum())

@@ -252,10 +252,6 @@ class GaussianTarget(TargetModel):
         return False
 
     @property
-    def log_evidence(self) -> float:
-        return 0.0
-
-    @property
     def mean(self) -> np.ndarray:
         return self._mean
 
@@ -397,9 +393,9 @@ class GaussianTarget(TargetModel):
 
     # --- coordinate-ascent machinery ---------------------------------------
 
-    def cavi_update(self, factors, i: int) -> GaussianFactor | None:
+    def cavi_update(self, factors, i: int) -> GaussianFactor:
         """Lemma-style analytic update: the exponentiated expected log full
-        conditional under Gaussian complement factors; None for other factors.
+        conditional under Gaussian complement factors.
 
         The log full conditional is quadratic in theta_-i, so, up to a
         constant in theta_i, its expectation depends on the complement factors
@@ -407,10 +403,8 @@ class GaussianTarget(TargetModel):
         means. With delta = m - mu the fixed point solves (Lambda delta)_i = 0
         for every block, so it is the full conditional at the posterior mean.
         """
-        if not all(isinstance(f, GaussianFactor) for f in factors):
-            return None
         return self.full_conditional(i, np.concatenate(
-            [f.mean for j, f in enumerate(factors) if j != i]))
+            [f.mean for j, f in enumerate(_gaussian_factors(factors)) if j != i]))
 
     def initial_factors(self, strategy: str) -> list[GaussianFactor]:
         if strategy in ("default", "marginals"):
@@ -424,7 +418,7 @@ class GaussianTarget(TargetModel):
     def expected_log_conditional(self, factors, i: int) -> np.ndarray:
         """Exact: log N(x; mu_i - G (m_c - mu_c), Lambda_ii^{-1}) - tr penalty / 2,
         with m_c and the block-diagonal covariance of the complement factors."""
-        tilted = self.cavi_update(_gaussian_factors(factors), i)
+        tilted = self.cavi_update(factors, i)
         blk = self._blocks[i]
         cov_c = _block_diag([f.covariance for j, f in enumerate(factors) if j != i])
         b_mat = blk["lam_ic"].T @ blk["cov_i"] @ blk["lam_ic"]   # Lambda_ci cov_i Lambda_ic

@@ -55,8 +55,8 @@ class GibbsConfig:
 
     ``init`` is an explicit starting vector, or one of "standard_normal"
     (continuous models), "uniform" (discrete models), "default" (picks the
-    appropriate one of the two). ``burn_in=None`` applies the conventional
-    10%-of-cycles default.
+    appropriate one of the two); a "uniform" start is redrawn until it has
+    mass. ``burn_in=None`` applies the conventional 10%-of-cycles default.
     """
 
     n_cycles: int
@@ -116,7 +116,12 @@ def _resolve_init(model: TargetModel, config: GibbsConfig,
             if not model.is_discrete:
                 raise ModelError("uniform initializer is only defined for discrete models")
             sizes = [model.block_measure(i)[0].size for i in range(dec.n_blocks)]
-            return np.array([float(rng.integers(n)) for n in sizes]), strategy
+            # a start without mass can meet an empty conditional at its first
+            # draw; one with mass is kept, so its draws are those of one try
+            while True:
+                theta = np.array([float(rng.integers(n)) for n in sizes])
+                if model.log_density(theta) > -np.inf:
+                    return theta, strategy
         raise ModelError(f"unknown initializer {init!r}")
     theta = dec.check_vector(np.asarray(init, dtype=float))
     model.log_density(theta)  # a start off the support raises here

@@ -153,6 +153,19 @@ class TestRunCavi:
             refreshed = cavi_update(model, list(state.factors), i)
             assert state.factors[i].change(refreshed) <= tol
 
+    @pytest.mark.parametrize("model, init", [
+        (bivariate(0.5), "standard_normal"),
+        (DiscreteTarget(random_table(np.random.default_rng(9), (4, 3))), "marginals"),
+    ], ids=["gaussian", "discrete"])
+    def test_non_default_start_reaches_a_fixed_point(self, model, init):
+        tol = 1e-11
+        state = run_cavi(model, CaviConfig(max_cycles=500, tolerance=tol, init=init))
+        assert state.converged
+        assert np.all(np.diff(state.objective_history) <= 1e-10)
+        for i in range(2):
+            refreshed = cavi_update(model, list(state.factors), i)
+            assert state.factors[i].change(refreshed) <= tol
+
     def test_converged_factors_match_brute_force_coordinate_minimizer(self):
         rng = np.random.default_rng(14)
         table = random_table(rng, (3, 3))
@@ -223,16 +236,6 @@ class TestKlObjective:
         for rho in (0.2, 0.5, 0.9):
             state = run_cavi(bivariate(rho), CaviConfig())
             assert state.objective_history[-1] > 1e-3
-
-    def test_requires_normalized_target(self):
-        class Unnormalized(GaussianTarget):
-            @property
-            def log_evidence(self):
-                return None
-
-        model = Unnormalized([0, 0], np.eye(2), make_decomposition([1, 1]))
-        with pytest.raises(ModelError, match="normalized target"):
-            kl_objective(model, [model.marginal(0), model.marginal(1)])
 
 
 def three_blocks():

@@ -145,6 +145,37 @@ class TestRunGibbs:
         assert main(["run-gibbs", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
         assert "zero probability mass" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_uniform_start_on_a_table_with_zero_cells_exits_0(self, tmp_path, seed):
+        # seeds 3 and 5 first draw a start without mass, which is redrawn
+        cfg = write_config(
+            tmp_path / "cfg.json",
+            model={"family": "discrete", "support_sizes": [2, 2],
+                   "joint_pmf": [1.0, 0.0, 0.0, 0.0]},
+            gibbs={"n_cycles": 10, "burn_in": 0, "seed": seed, "init": "uniform"},
+        )
+        out = tmp_path / "out"
+        assert main(["run-gibbs", "--config", str(cfg), "--out", str(out)]) == 0
+        rows = (out / "trace.csv").read_text().splitlines()[1:]
+        assert rows == [f"{c},0,0" for c in range(1, 11)]
+
+    def test_short_chain_on_a_constant_coordinate_writes_nulls(self, tmp_path):
+        # dim 1 never leaves 0, so its correlation is undefined, and 20 kept
+        # samples are too few for a batch-means standard error
+        cfg = write_config(
+            tmp_path / "cfg.json",
+            model={"family": "discrete", "support_sizes": [2, 2],
+                   "joint_pmf": [0.5, 0.5, 0.0, 0.0]},
+            gibbs={"n_cycles": 20, "burn_in": 0, "seed": 0, "init": [0, 0]},
+        )
+        out = tmp_path / "out"
+        assert main(["run-gibbs", "--config", str(cfg), "--out", str(out)]) == 0
+        estimates = json.loads((out / "estimates.json").read_text())
+        assert estimates["sample_correlations"] == [
+            {"name": "sample_correlation_dim1_dim2", "value": None}]
+        assert [e["standard_error"] for e in estimates["estimands"]] == [None] * 5
+        assert '"standard_error": null' in (out / "estimates.json").read_text()
+
 
 class TestRunCavi:
     def test_converged_state_file(self, tmp_path):
@@ -239,6 +270,23 @@ class TestDiagnose:
         report = json.loads((out / "report.json").read_text())
         for block in report["blocks"]:
             assert block["information_residual"] <= 1e-12
+
+    def test_short_chain_reports_null_standard_errors(self, tmp_path, capsys):
+        # 40 kept samples are too few for a batch-means standard error, so
+        # every Monte Carlo check fails
+        cfg = write_config(tmp_path / "cfg.json", model=TABLE_2X2,
+                           gibbs={"n_cycles": 40, "burn_in": 0, "seed": 0})
+        out = tmp_path / "out"
+        assert main(["diagnose", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "mc_within_3se" in capsys.readouterr().err
+        se_keys = [k for k in REPORT_BLOCK_KEYS if k.endswith("_mc_se")]
+        report = json.loads((out / "report.json").read_text())
+        assert [[block[k] for k in se_keys] for block in report["blocks"]] == [[None] * 3] * 2
+        header, *rows = (out / "report.csv").read_text().splitlines()
+        columns = header.split(",")
+        for row in rows:
+            cells = row.split(",")
+            assert [cells[columns.index(k)] for k in se_keys] == [""] * 3
 
     def test_vector_block_exits_2_before_the_chain(self, tmp_path, capsys, monkeypatch):
         import duality_bench.cli as cli

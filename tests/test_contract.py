@@ -1,6 +1,7 @@
 """The engines reach a target only through the TargetModel contract: a
 wrapper that forwards the contract, and nothing else, gives the same CAVI
-state and the same report as the target it wraps."""
+state and the same report as the target it wraps, and one that forwards only
+the abstract members still gets its chain and its grid-path state."""
 
 import ast
 import inspect
@@ -14,13 +15,16 @@ from duality_bench import (
     DiscreteTarget,
     GaussianTarget,
     GibbsConfig,
+    GridFactor,
+    ModelError,
     TargetModel,
     build_report,
     make_decomposition,
     run_cavi,
     run_chain,
 )
-from duality_bench.cavi import state_to_jsonable
+from duality_bench.cavi import initial_factors, state_to_jsonable
+from duality_bench.serialize import dumps_json
 
 from oracles import random_table
 
@@ -33,11 +37,17 @@ def _forward(name):
     return lambda self, *args, **kwargs: getattr(self.inner, name)(*args, **kwargs)
 
 
-# Not a subclass of either family, so any dispatch on the model's class misses it.
-Forwarding = type("Forwarding", (TargetModel,), {
-    "__init__": lambda self, inner: setattr(self, "inner", inner),
-    **{name: _forward(name) for name in CONTRACT},
-})
+def _wrapper(name, members):
+    # Not a subclass of either family, so any dispatch on the model's class misses it.
+    return type(name, (TargetModel,), {
+        "__init__": lambda self, inner: setattr(self, "inner", inner),
+        **{member: _forward(member) for member in members},
+    })
+
+
+Forwarding = _wrapper("Forwarding", CONTRACT)
+# No closed form: the contract's defaults raise ModelError for the rest.
+AbstractOnly = _wrapper("AbstractOnly", TargetModel.__abstractmethods__)
 
 
 def discrete():
@@ -66,6 +76,24 @@ def test_engines_give_identical_results_through_the_contract(make_model):
     assert state_to_jsonable(run_cavi(wrapped, config)) == state_to_jsonable(state)
     assert run_chain(wrapped, GibbsConfig(n_cycles=2000, burn_in=200, seed=0)).samples.tobytes() \
         == trace.samples.tobytes()
+
+
+def test_abstract_members_alone_serve_gibbs_and_the_grid_path():
+    model = gaussian_2()
+    bare = AbstractOnly(model)
+    gibbs = GibbsConfig(n_cycles=2000, burn_in=200, seed=0)
+    assert run_chain(bare, gibbs).samples.tobytes() == run_chain(model, gibbs).samples.tobytes()
+    grid = CaviConfig(max_cycles=20, tolerance=1e-10, path="grid")
+    assert ([f.to_jsonable() for f in initial_factors(bare, grid)]
+            == [f.to_jsonable() for f in initial_factors(model, grid)])
+    g = np.linspace(-8.0, 8.0, 257)
+    tables = [GridFactor(g, np.exp(-0.5 * g**2)) for _ in range(2)]
+    state = run_cavi(bare, grid, tables)
+    assert (dumps_json(state_to_jsonable(state))
+            == dumps_json(state_to_jsonable(run_cavi(model, grid, tables))))
+    assert len(state.objective_history) == 1 + 2 * state.cycles
+    with pytest.raises(ModelError, match="no closed form"):
+        run_cavi(bare, CaviConfig())
 
 
 ENGINES = ["gibbs.py", "cavi.py", "diagnostics.py"]

@@ -1,4 +1,5 @@
-"""The README's library example runs as written."""
+"""The README's library example runs as written, and its contract paragraph
+names every member of the contract."""
 
 import re
 from pathlib import Path
@@ -15,3 +16,13 @@ def test_library_use_example_runs(capsys):
     exec(compile(code, f"{README}: Library use", "exec"), {})
     printed = float(capsys.readouterr().out)
     assert printed == pytest.approx(np.sqrt(0.75), abs=1e-8)
+
+
+def test_target_contract_paragraph_names_every_member():
+    from duality_bench import TargetModel
+
+    text = README.read_text(encoding="utf-8")
+    paragraph = re.search(r"\nTarget contract:(.*?)\n\n", text, re.S).group(1)
+    named = set(re.findall(r"`(\w+)", paragraph))
+    members = {name for name in vars(TargetModel) if not name.startswith("_")}
+    assert sorted(members - named) == []
