@@ -488,6 +488,7 @@ def build_report(model: TargetModel, trace: ChainTrace, state: MeanFieldState,
         raise ModelError("trace does not match the model decomposition")
     if len(state.factors) != dec.n_blocks:
         raise ModelError("state does not match the model decomposition")
+    info_tol = INFO_TOL_DISCRETE if model.is_discrete else INFO_TOL_CONTINUOUS
     rng = make_rng(options.suite_seed)
     reference = model.reference_point()
     blocks: list[BlockDiagnostics] = []
@@ -514,8 +515,6 @@ def build_report(model: TargetModel, trace: ChainTrace, state: MeanFieldState,
             min_slack = min(min_slack, ws.concavity_slack(
                 ws.density_values(p_cand), ws.density_values(q_cand), a))
         info = information_equality_check(model, i, method=options.info_method)
-        # exact summation is held to float precision, quadrature to its error
-        info_tol = INFO_TOL_DISCRETE if info.method == "enumeration" else INFO_TOL_CONTINUOUS
         mc = info_monte_carlo(model, trace, i)
         r_value = squashing_constant(model, state, i)
         squash_slack = squash_pointwise_check(

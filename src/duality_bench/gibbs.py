@@ -21,7 +21,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from duality_bench.core import TargetModel
-from duality_bench.errors import ModelError
+from duality_bench.errors import ModelError, ZeroMassError
 
 __all__ = [
     "GibbsConfig",
@@ -55,8 +55,9 @@ class GibbsConfig:
 
     ``init`` is an explicit starting vector, or one of "standard_normal"
     (continuous models), "uniform" (discrete models), "default" (picks the
-    appropriate one of the two); a "uniform" start is redrawn until it has
-    mass. ``burn_in=None`` applies the conventional 10%-of-cycles default.
+    appropriate one of the two); a "uniform" start is redrawn while block 0's
+    conditioning event has no mass. ``burn_in=None`` applies the conventional
+    10%-of-cycles default.
     """
 
     n_cycles: int
@@ -116,12 +117,15 @@ def _resolve_init(model: TargetModel, config: GibbsConfig,
             if not model.is_discrete:
                 raise ModelError("uniform initializer is only defined for discrete models")
             sizes = [model.block_measure(i)[0].size for i in range(dec.n_blocks)]
-            # a start without mass can meet an empty conditional at its first
-            # draw; one with mass is kept, so its draws are those of one try
+            # redraw a start whose first draw has nothing to condition on;
+            # block 0 then lands on the support, so a start that could run is kept
             while True:
                 theta = np.array([float(rng.integers(n)) for n in sizes])
-                if model.log_density(theta) > -np.inf:
+                try:
+                    model.full_conditional(0, theta[dec.complement_indices(0)])
                     return theta, strategy
+                except ZeroMassError:
+                    pass
         raise ModelError(f"unknown initializer {init!r}")
     theta = dec.check_vector(np.asarray(init, dtype=float))
     model.log_density(theta)  # a start off the support raises here

@@ -147,7 +147,8 @@ class TestRunGibbs:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_uniform_start_on_a_table_with_zero_cells_exits_0(self, tmp_path, seed):
-        # seeds 3 and 5 first draw a start without mass, which is redrawn
+        # at seeds 3 and 5 the first start leaves block 0 nothing to condition
+        # on, so it is redrawn
         cfg = write_config(
             tmp_path / "cfg.json",
             model={"family": "discrete", "support_sizes": [2, 2],

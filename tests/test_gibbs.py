@@ -230,6 +230,8 @@ SCAN_MODELS = {
     "gauss[1,2]": lambda: gaussian([1, 2]),
     "gauss[1,1,1]": lambda: gaussian([1, 1, 1]),
     "table3x4x2": lambda: DiscreteTarget(random_table(np.random.default_rng(5), (3, 4, 2))),
+    # seed 11 starts on the empty cell (1, 0), from which block 0 can draw
+    "table2x2-empty-cell": lambda: DiscreteTarget([0.5, 0.25, 0.0, 0.25], [2, 2]),
 }
 
 
