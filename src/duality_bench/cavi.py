@@ -13,11 +13,15 @@ update paths share that contract:
 
 The engine takes the path it is given: "auto" takes the target's
 closed-form update and factors (ModelError on a target without them), and
-"grid" tabulates, asking the target only ``is_discrete``. The CAVI objective
-is a KL because ``TargetModel.log_density`` is normalized. The engine is
-deterministic: there is no randomness beyond the initializer, and the
-default initializers are deterministic (exact marginals for Gaussian
-models, uniform for discrete, standard normal tables for the grid path).
+"grid" tabulates, asking the target only ``is_discrete``. The grids are
+fixed for a run and only the factors' weights change between updates, so a
+grid run evaluates ``TargetModel.log_density`` once, on the tensor grid of all
+blocks' nodes, and each update contracts that table against the other
+factors' weights. The CAVI objective is a KL because
+``TargetModel.log_density`` is normalized. The engine is deterministic: there
+is no randomness beyond the initializer, and the default initializers are
+deterministic (exact marginals for Gaussian models, uniform for discrete,
+standard normal tables for the grid path).
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ __all__ = [
     "CaviConfig",
     "MeanFieldState",
     "cavi_update",
+    "check_grid_table",
     "initial_factors",
     "run_cavi",
     "kl_objective",
@@ -42,11 +47,17 @@ __all__ = [
     "state_from_jsonable",
 ]
 
-# Bound on one block's complement tensor (the product of the other blocks'
-# grid sizes), which would otherwise silently eat memory; it also sets the row
-# chunk of each log_density call. Any K passes when the grids are small enough:
-# the reference 4097-node grids fit K=2, and K=3 takes up to 2896 nodes a block.
+# Bound on the grid path's log-joint table (the product of all blocks' grid
+# sizes), which a run holds in memory: two 4097-node blocks fit (4097^2 cells,
+# 134 MB), as do three blocks of up to 322 nodes.
+MAX_TABLE_CELLS = 2**25
+# Row chunk, in cells, of each contraction of the table against the other
+# factors' weights (the contraction's bits depend on it).
 MAX_GRID_CELLS = 2**23
+# Points per log_density call while the table fills. The call's temporaries,
+# a few arrays of that many rows, come on top of the table; the values of a
+# row do not depend on the chunk.
+TABLE_CHUNK_POINTS = 2**20
 
 
 @dataclass(frozen=True)
@@ -91,62 +102,84 @@ class MeanFieldState:
     max_change: float
 
 
-def _expected_log_joint(model: TargetModel, factors, i: int) -> np.ndarray:
+def _grids(model: TargetModel, factors) -> list[np.ndarray]:
+    """The factors' grids, once the model is known to have the continuous 1-D
+    blocks the grid path needs (ModelError otherwise)."""
+    if model.is_discrete:
+        raise ModelError("grid path requires continuous blocks")
+    if any(d != 1 for d in model.decomposition.block_dims):
+        raise ModelError("grid path requires 1-D blocks")
+    return [f.grid for f in factors]
+
+
+def check_grid_table(grids) -> None:
+    """ModelError when the log-joint table over ``grids``, one grid per block,
+    has more than MAX_TABLE_CELLS cells."""
+    sizes = [np.size(g) for g in grids]
+    if int(np.prod(sizes)) > MAX_TABLE_CELLS:
+        raise ModelError(f"grid path table of {' x '.join(map(str, sizes))} nodes is over "
+                         f"{MAX_TABLE_CELLS} cells; use coarser grids or fewer blocks")
+
+
+def _log_joint_table(model: TargetModel, grids) -> np.ndarray:
+    """log_density on the tensor grid of all blocks' nodes, axis j on block j's
+    grid, evaluated once in calls of at most TABLE_CHUNK_POINTS points (or one
+    row of block 0, if that is more)."""
+    check_grid_table(grids)
+    dec = model.decomposition
+    shape = tuple(g.size for g in grids)
+    rest_points = np.stack(
+        [g.reshape(-1) for g in np.meshgrid(*grids[1:], indexing="ij")], axis=1)
+    n_rest = rest_points.shape[0]
+    table = np.empty(shape)
+    chunk = max(1, TABLE_CHUNK_POINTS // n_rest)
+    for start in range(0, shape[0], chunk):
+        xs = grids[0][start:start + chunk]
+        pts = np.empty((xs.size, n_rest, dec.total_dim))
+        pts[:, :, dec.block_offsets[0]] = xs[:, None]
+        pts[:, :, list(dec.block_offsets[1:])] = rest_points
+        lj = np.asarray(model.log_density(pts.reshape(-1, dec.total_dim)), dtype=float)
+        table[start:start + xs.size] = lj.reshape(xs.size, *shape[1:])
+    return table
+
+
+def _expected_log_joint(table: np.ndarray, factors, i: int) -> np.ndarray:
     """E over the grid factors j != i of log joint(x, theta_-i), at the nodes x
-    of factor i's grid, by tensor trapezoid quadrature in row chunks.
+    of factor i's grid: the table contracted against the other factors'
+    normalized trapezoid weights, in row chunks of at most MAX_GRID_CELLS cells.
 
     Block i's update is its exp, renormalized (E[log pi(x | theta_-i)] differs
     by a constant in x); the objective's cross term is its q_i-mean.
     """
-    dec = model.decomposition
-    if model.is_discrete:
-        raise ModelError("grid path requires continuous blocks")
-    if any(d != 1 for d in dec.block_dims):
-        raise ModelError("grid path requires 1-D blocks")
-    grids = [f.grid for f in factors]
-    comp_blocks = [j for j in range(dec.n_blocks) if j != i]
-    if int(np.prod([grids[j].size for j in comp_blocks])) > MAX_GRID_CELLS:
-        raise ModelError("grid path tensor too large; use coarser grids or fewer blocks")
-    # normalized complement weights w_j = trapezoid * factor values
     weights = []
-    for j in comp_blocks:
-        w = trapezoid_weights(grids[j]) * factors[j].values
-        weights.append(w / w.sum())
+    for j, f in enumerate(factors):
+        if j != i:
+            w = trapezoid_weights(f.grid) * f.values
+            weights.append(w / w.sum())
     comp_w = reduce(np.multiply.outer, weights).reshape(-1)
-    comp_points = np.stack(
-        [g.reshape(-1) for g in np.meshgrid(*[grids[j] for j in comp_blocks], indexing="ij")],
-        axis=1,
-    )
-    n_comp = comp_points.shape[0]
-    comp_offsets = [dec.block_offsets[j] for j in comp_blocks]
-    x = grids[i]
-    expected = np.empty(x.size)
-    chunk = max(1, MAX_GRID_CELLS // max(1, n_comp))
-    for start in range(0, x.size, chunk):
-        xs = x[start:start + chunk]
-        pts = np.empty((xs.size, n_comp, dec.total_dim))
-        pts[:, :, dec.block_offsets[i]] = xs[:, None]
-        pts[:, :, comp_offsets] = comp_points
-        lj = np.asarray(model.log_density(pts.reshape(-1, dec.total_dim)), dtype=float)
-        lj = lj.reshape(xs.size, n_comp)
+    rows = np.moveaxis(table, i, 0)
+    n_comp = comp_w.size
+    expected = np.empty(rows.shape[0])
+    chunk = max(1, MAX_GRID_CELLS // n_comp)
+    for start in range(0, rows.shape[0], chunk):
+        # a C-contiguous (rows, complement) block: the gemv bits depend on it
+        lj = np.ascontiguousarray(rows[start:start + chunk].reshape(-1, n_comp))
         if np.any(np.isneginf(lj) & (comp_w > 0)[None, :]):
             raise ModelError(
                 f"block {i} update: log of zero density on a positive-mass region"
             )
-        expected[start:start + xs.size] = lj @ comp_w
+        expected[start:start + lj.shape[0]] = lj @ comp_w
     return expected
 
 
-def _step(model: TargetModel, factors, i: int, path: str):
+def _step(model: TargetModel, factors, i: int, table):
     """Factor i's coordinate update, with the expectation E_i the grid path
-    built it from (None on the closed-form path)."""
-    model.decomposition.check_index(i)
-    if path == "auto":
+    built it from: the target's closed form when ``table`` is None (E_i is
+    None), else a contraction of the grid path's log-joint table."""
+    if table is None:
         return model.cavi_update(factors, i), None
-    if path == "grid":
-        expected = _expected_log_joint(model, factors, i)
-        return GridFactor.from_log_values(factors[i].grid, expected), expected
-    raise ValueError(f"unknown path {path!r}")
+    expected = _expected_log_joint(table, factors, i)
+    return GridFactor.from_log_values(factors[i].grid, expected), expected
 
 
 def cavi_update(model: TargetModel, factors, i: int, path: str = "auto"):
@@ -154,9 +187,16 @@ def cavi_update(model: TargetModel, factors, i: int, path: str = "auto"):
 
     Returns a normalized factor of the same representation family. Never
     increases the KL objective (coordinate descent on the divergence to the
-    posterior).
+    posterior). On the grid path each call tabulates the log joint afresh.
     """
-    return _step(model, factors, i, path)[0]
+    model.decomposition.check_index(i)
+    if path == "auto":
+        table = None
+    elif path == "grid":
+        table = _log_joint_table(model, _grids(model, factors))
+    else:
+        raise ValueError(f"unknown path {path!r}")
+    return _step(model, factors, i, table)[0]
 
 
 def initial_factors(model: TargetModel, config: CaviConfig) -> list:
@@ -180,14 +220,20 @@ def run_cavi(model: TargetModel, config: CaviConfig,
     ``converged=False``.
     """
     factors = list(initial_factors(model, config) if init_factors is None else init_factors)
-    history = [kl_objective(model, factors)]
+    if config.path == "grid":
+        # the grids are fixed for the run: tabulate once, contract per update
+        table = _log_joint_table(model, _grids(model, factors))
+        history = [_grid_kl(factors, 0, _expected_log_joint(table, factors, 0))]
+    else:
+        table = None
+        history = [kl_objective(model, factors)]
     cycles = 0
     converged = False
     change = np.inf
     for _ in range(config.max_cycles):
         change = 0.0
         for i in range(model.decomposition.n_blocks):
-            new, expected = _step(model, factors, i, config.path)
+            new, expected = _step(model, factors, i, table)
             change = max(change, factors[i].change(new))
             factors[i] = new
             # E_i depends only on the factors j != i, so it still holds
@@ -210,19 +256,21 @@ def kl_objective(model: TargetModel, factors) -> float:
     """KL(product of factors || posterior), >= 0.
 
     For grid factors, the tensor-quadrature form of :func:`_grid_kl` on block
-    0's expectation (any K the grid update accepts); the target's closed form
-    (``TargetModel.product_kl``) otherwise. ``run_cavi`` calls it on grid
-    factors only for the starting point: after a grid update it reuses that
-    update's expectation.
+    0's expectation, from a log-joint table this call builds (any K within
+    MAX_TABLE_CELLS); the target's closed form (``TargetModel.product_kl``)
+    otherwise. ``run_cavi`` does not call it on the grid path: it builds one
+    table per run and takes each objective from the expectation its update
+    has just contracted.
     """
     factors = list(factors)
     if all(isinstance(f, GridFactor) for f in factors):
-        return _grid_kl(factors, 0, _expected_log_joint(model, factors, 0))
+        table = _log_joint_table(model, _grids(model, factors))
+        return _grid_kl(factors, 0, _expected_log_joint(table, factors, 0))
     return model.product_kl(factors)
 
 
 def _grid_kl(factors, i: int, expected: np.ndarray) -> float:
-    """KL of grid factors from E_i = ``_expected_log_joint(model, factors, i)``:
+    """KL of grid factors from E_i = ``_expected_log_joint(table, factors, i)``:
     sum_j E_qj[log q_j] - E_qi[E_i] (no log Z: the target is normalized)."""
     masses = [f.weights * f.values for f in factors]
     entropy_terms = sum(float(np.sum(m[m > 0] * f.log_values[m > 0]))

@@ -24,7 +24,13 @@ from pathlib import Path
 import numpy as np
 
 from duality_bench import __version__
-from duality_bench.cavi import initial_factors, run_cavi, state_from_jsonable, state_to_jsonable
+from duality_bench.cavi import (
+    check_grid_table,
+    initial_factors,
+    run_cavi,
+    state_from_jsonable,
+    state_to_jsonable,
+)
 from duality_bench.config import RunConfig, load_config
 from duality_bench.diagnostics import ATTAINMENT_TOL, GAP_TOL, build_report, duality_suite
 from duality_bench.errors import ConfigError, DualityBenchError, ModelError
@@ -138,11 +144,11 @@ def cmd_run_gibbs(args) -> int:
     return 0
 
 
-def _require_block_measures(model, key: str) -> None:
-    """Exit 2 naming ``key`` unless every block has a measure (the report
-    and the grid path both work on them)."""
-    for i in range(model.decomposition.n_blocks):
-        _checked(key, model.block_measure, i)
+def _require_block_measures(model, key: str) -> list:
+    """Every block's measure nodes; exit 2 naming ``key`` unless every block
+    has a measure (the report and the grid path both work on them)."""
+    return [_checked(key, model.block_measure, i)[0]
+            for i in range(model.decomposition.n_blocks)]
 
 
 def cmd_run_cavi(args) -> int:
@@ -153,7 +159,8 @@ def cmd_run_cavi(args) -> int:
         if model.is_discrete:
             raise ConfigError("cavi.path: the grid path needs continuous blocks; "
                               "discrete models use \"auto\"")
-        _require_block_measures(model, "cavi.path")
+        # the grid path starts on these nodes and tabulates the log joint on them
+        _checked("cavi.path", check_grid_table, _require_block_measures(model, "cavi.path"))
     state = run_cavi(model, cavi_cfg, _checked("cavi.init", initial_factors, model, cavi_cfg))
     out = _out_dir(args, cfg)
     payload = {

@@ -25,6 +25,7 @@ from oracles import (
     normal_logpdf,
     quad,
     random_table,
+    reference_grid_run,
     trap_weights,
 )
 
@@ -283,37 +284,90 @@ class TestThreeBlockGrid:
                                                             abs=1e-8)
 
 
-def grid_run(model):
-    """A grid run from standard-normal tables on 65 nodes over each block's
-    fixed-point +- 8 sd."""
+def grid_start(model, n=65):
+    """Standard-normal tables on n nodes over each block's fixed-point +- 8 sd."""
     init = []
     for fp in cavi_fixed_point(model):
-        g = gaussian_table(fp.mean[0], fp.covariance[0, 0], n=65).grid
+        g = gaussian_table(fp.mean[0], fp.covariance[0, 0], n=n).grid
         init.append(GridFactor(g, np.exp(-0.5 * g**2)))
+    return init
+
+
+def grid_run(model, n=65):
+    """A grid run from ``grid_start(model, n)``."""
     return run_cavi(model, CaviConfig(max_cycles=60, tolerance=1e-10, path="grid"),
-                    init_factors=init)
+                    init_factors=grid_start(model, n))
+
+
+class TestGridTable:
+    @pytest.mark.parametrize("model, n, chunked", [
+        (bivariate(0.5), 257, False),
+        (bivariate(0.5), 65, False),
+        (three_blocks(), 65, False),
+        (bivariate(0.5), 257, True),
+        (three_blocks(), 65, True),
+    ], ids=["K2-257", "K2-65", "K3-65", "K2-257-chunked", "K3-65-chunked"])
+    def test_run_matches_per_update_evaluation_bit_for_bit(self, model, n, chunked,
+                                                           monkeypatch):
+        import duality_bench.cavi as cavi
+
+        if chunked:
+            # the table is filled two rows at a time, and contracted three
+            complement = n ** (model.decomposition.n_blocks - 1)
+            monkeypatch.setattr(cavi, "TABLE_CHUNK_POINTS", 2 * complement)
+            monkeypatch.setattr(cavi, "MAX_GRID_CELLS", 3 * complement)
+        init = grid_start(model, n)
+        state = grid_run(model, n)
+        values, history = reference_grid_run(
+            model, [f.grid for f in init], [f.values for f in init], 60, 1e-10,
+            cavi.MAX_GRID_CELLS)
+        assert state.cycles >= 2
+        assert state.objective_history == tuple(history)
+        assert [f.values.tobytes() for f in state.factors] == [v.tobytes() for v in values]
+
+    @pytest.mark.parametrize("model", [bivariate(0.5), three_blocks()], ids=["K2", "K3"])
+    def test_one_run_evaluates_each_table_cell_once(self, model, monkeypatch):
+        rows = []
+        evaluate = model.log_density
+
+        def counting(theta):
+            rows.append(len(theta))
+            return evaluate(theta)
+
+        monkeypatch.setattr(model, "log_density", counting)
+        state = grid_run(model)
+        assert state.cycles >= 2
+        assert sum(rows) == 65 ** model.decomposition.n_blocks
+
+    def test_a_table_over_the_bound_raises_before_any_row(self, monkeypatch):
+        from duality_bench.cavi import MAX_TABLE_CELLS
+
+        model = bivariate(0.5)
+        rows = []
+        monkeypatch.setattr(model, "log_density", rows.append)
+        # the reference 4097-node grids fit; two 8193-node grids do not
+        assert 4097**2 <= MAX_TABLE_CELLS < 8193**2
+        g = np.linspace(-8.0, 8.0, 8193)
+        tables = [GridFactor(g, np.exp(-0.5 * g**2))] * 2
+        for call in (lambda: run_cavi(model, CaviConfig(path="grid"), tables),
+                     lambda: kl_objective(model, tables),
+                     lambda: cavi_update(model, tables, 0, path="grid")):
+            with pytest.raises(ModelError, match="8193 x 8193 nodes is over"):
+                call()
+        assert rows == []
+
+    def test_zero_density_on_positive_mass_raises(self):
+        class Truncated(GaussianTarget):
+            def log_density(self, theta):
+                theta = np.asarray(theta, dtype=float)
+                return np.where(theta[:, 0] > 1.0, -np.inf, super().log_density(theta))
+
+        model = Truncated([0, 0], [[1, 0.5], [0.5, 1]], make_decomposition([1, 1]))
+        with pytest.raises(ModelError, match="block 0 update: log of zero density"):
+            run_cavi(model, CaviConfig(path="grid"), grid_start(model))
 
 
 class TestGridObjectiveReuse:
-    @pytest.mark.parametrize("model", [bivariate(0.5), three_blocks()], ids=["K2", "K3"])
-    def test_one_tensor_evaluation_per_update_plus_the_start(self, model, monkeypatch):
-        import duality_bench.cavi as cavi
-
-        calls = []
-        evaluate = cavi._expected_log_joint
-
-        def counting(*args):
-            calls.append(args[2])
-            return evaluate(*args)
-
-        monkeypatch.setattr(cavi, "_expected_log_joint", counting)
-        state = grid_run(model)
-        k = model.decomposition.n_blocks
-        assert state.cycles >= 2
-        # block 0 once for the starting objective, then each update's block
-        assert len(calls) == 1 + k * state.cycles
-        assert calls == [0] + list(range(k)) * state.cycles
-
     @pytest.mark.parametrize("model", [bivariate(0.5), three_blocks()], ids=["K2", "K3"])
     def test_last_objective_matches_a_fresh_evaluation(self, model):
         # the last entry comes from block K-1's expectation, a fresh

@@ -45,6 +45,9 @@ VECTOR_BLOCK_MODEL = {"family": "gaussian", "mean": [0.0, 0.0, 0.0],
                       "covariance": [[1.0, 0.5, 0.0], [0.5, 1.0, 0.2], [0.0, 0.2, 1.0]],
                       "block_dims": [1, 2]}
 TABLE_2X2 = {"family": "discrete", "support_sizes": [2, 2], "joint_pmf": [0.4, 0.1, 0.2, 0.3]}
+THREE_BLOCK_MODEL = {"family": "gaussian", "mean": [0.0, 0.0, 0.0],
+                     "covariance": [[1.0, 0.5, 0.0], [0.5, 1.0, 0.2], [0.0, 0.2, 1.0]],
+                     "block_dims": [1, 1, 1]}
 # the report's schema: its CSV columns, and the key order of its JSON options and blocks
 REPORT_CSV_HEADER = (
     "block,duality_gap,functional_at_conditional,log_complement_marginal,"
@@ -551,9 +554,12 @@ class TestConfigValidation:
          "runtime error: block 0"),
         ("diagnose", {"model": {**TABLE_2X2, "joint_pmf": [0.5, 0.0, 0.0, 0.5]}}, 3,
          "runtime error: block 0"),
+        # three 4097-node grids make a log-joint table over the grid path's bound
+        ("run-cavi", {"model": THREE_BLOCK_MODEL, "cavi": {"path": "grid"}}, 2,
+         "cavi.path: grid path table of 4097 x 4097 x 4097 nodes"),
     ], ids=["f_candidates-0", "concavity_mixtures-neg", "support-size-1", "mean-1e308-gibbs",
             "mean-1e308-diagnose", "init-1e300-gibbs", "init-1e300-diagnose",
-            "table-quadrature", "zero-cells-1000", "zero-cells-diagonal"])
+            "table-quadrature", "zero-cells-1000", "zero-cells-diagonal", "grid-three-blocks"])
     def test_schema_accepted_input_fails_before_the_chain(self, tmp_path, capsys, monkeypatch,
                                                           command, overrides, code, named):
         import duality_bench.cli as cli
