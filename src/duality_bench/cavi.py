@@ -17,7 +17,7 @@ closed-form update and factors (ModelError on a target without them), and
 fixed for a run and only the factors' weights change between updates, so a
 grid run evaluates ``TargetModel.log_density`` once, on the tensor grid of all
 blocks' nodes, and each update contracts that table against the other
-factors' weights. The CAVI objective is a KL because
+factors' weights, one axis at a time and without BLAS. The CAVI objective is a KL because
 ``TargetModel.log_density`` is normalized. The engine is deterministic: there
 is no randomness beyond the initializer, and the default initializers are
 deterministic (exact marginals for Gaussian models, uniform for discrete,
@@ -27,7 +27,6 @@ standard normal tables for the grid path).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -51,9 +50,6 @@ __all__ = [
 # sizes), which a run holds in memory: two 4097-node blocks fit (4097^2 cells,
 # 134 MB), as do three blocks of up to 322 nodes.
 MAX_TABLE_CELLS = 2**25
-# Row chunk, in cells, of each contraction of the table against the other
-# factors' weights (the contraction's bits depend on it).
-MAX_GRID_CELLS = 2**23
 # Points per log_density call while the table fills. The call's temporaries,
 # a few arrays of that many rows, come on top of the table; the values of a
 # row do not depend on the chunk.
@@ -145,30 +141,22 @@ def _log_joint_table(model: TargetModel, grids) -> np.ndarray:
 
 def _expected_log_joint(table: np.ndarray, factors, i: int) -> np.ndarray:
     """E over the grid factors j != i of log joint(x, theta_-i), at the nodes x
-    of factor i's grid: the table contracted against the other factors'
-    normalized trapezoid weights, in row chunks of at most MAX_GRID_CELLS cells.
+    of factor i's grid: the table contracted against each other factor's
+    normalized trapezoid weights, one axis at a time from the last. The sums
+    run in numpy's own einsum loops, not BLAS, so their bits do not depend on
+    the number of BLAS threads.
 
     Block i's update is its exp, renormalized (E[log pi(x | theta_-i)] differs
     by a constant in x); the objective's cross term is its q_i-mean.
     """
-    weights = []
-    for j, f in enumerate(factors):
+    expected = table
+    for j in reversed(range(len(factors))):
         if j != i:
-            w = trapezoid_weights(f.grid) * f.values
-            weights.append(w / w.sum())
-    comp_w = reduce(np.multiply.outer, weights).reshape(-1)
-    rows = np.moveaxis(table, i, 0)
-    n_comp = comp_w.size
-    expected = np.empty(rows.shape[0])
-    chunk = max(1, MAX_GRID_CELLS // n_comp)
-    for start in range(0, rows.shape[0], chunk):
-        # a C-contiguous (rows, complement) block: the gemv bits depend on it
-        lj = np.ascontiguousarray(rows[start:start + chunk].reshape(-1, n_comp))
-        if np.any(np.isneginf(lj) & (comp_w > 0)[None, :]):
-            raise ModelError(
-                f"block {i} update: log of zero density on a positive-mass region"
-            )
-        expected[start:start + lj.shape[0]] = lj @ comp_w
+            w = trapezoid_weights(factors[j].grid) * factors[j].values
+            axes = list(range(expected.ndim))
+            expected = np.einsum(expected, axes, w / w.sum(), [j], axes[:j] + axes[j + 1:])
+    if not np.all(np.isfinite(expected)):
+        raise ModelError(f"block {i} update: log of zero density on a positive-mass region")
     return expected
 
 

@@ -54,8 +54,9 @@ def _state_indices(values, shape) -> np.ndarray:
     if values.ndim != 2 or values.shape[1] != len(shape):
         raise ValueError(f"states must have {len(shape)} entries")
     ints = np.round(values)
-    if not np.all(np.abs(values - ints) <= 1e-9):
-        raise ValueError("discrete states must be integer-valued")
+    fractional = ~np.all(np.abs(values - ints) <= 1e-9, axis=1)
+    if np.any(fractional):
+        raise ValueError(f"state {values[fractional][0].tolist()} is not integer-valued")
     outside = np.any((ints < 0) | (ints >= np.asarray(shape)), axis=1)
     if np.any(outside):
         raise ValueError(f"state {values[outside][0].tolist()} outside support {shape}")
@@ -103,13 +104,7 @@ class DiscreteFactor(Factor):
 
     def log_density(self, x):
         """Log pmf at integer value(s); -inf on zero entries."""
-        idx = np.asarray(x)
-        idx = idx.reshape(-1) if idx.ndim else idx.reshape(1)
-        k = idx.astype(int)
-        if np.any(np.abs(idx.astype(float) - k) > 0):
-            raise ValueError("discrete block values must be integers")
-        if np.any((k < 0) | (k >= self.pmf.size)):
-            raise ValueError("value outside the block support")
+        k = _state_indices(np.reshape(x, (-1, 1)), self.pmf.shape)[:, 0]
         out = _safe_log(self.pmf[k])
         return float(out[0]) if out.size == 1 and np.ndim(x) <= 1 else out
 

@@ -25,7 +25,6 @@ from duality_bench.quadrature import (
     GRID_POINTS_2D,
     Factor,
     gaussian_grid,
-    log_integral,
     tensor_weights,
     trapezoid_weights,
 )
@@ -437,22 +436,13 @@ class GaussianTarget(TargetModel):
 
     def block_kl_terms(self, factor, i: int) -> tuple[float, float]:
         """exp E_{q_i}[log pi(c | theta_i)] is an unnormalized Gaussian in c with
-        total mass exp(-penalty); a 1-D complement is integrated by quadrature,
-        a larger one analytically."""
+        total mass exp(-penalty), so the raw bound is -penalty for every
+        complement."""
         (factor,) = _gaussian_factors([factor])
         blk = self._blocks[self._decomposition.check_index(i)]
         b_mat = blk["lam_ic"] @ blk["cov_c"] @ blk["lam_ic"].T   # Lambda_ic cov_c Lambda_ci
         penalty = 0.5 * float(np.sum(b_mat * factor.covariance))
-        if blk["ci"].size == 1:
-            cm = self.complement_marginal(i)
-            grid = gaussian_grid(float(cm.mean[0]), float(np.sqrt(cm.covariance[0, 0])),
-                                 GRID_POINTS_1D)
-            tilted = self.conditional_complement(i, factor.mean)
-            raw = log_integral(np.asarray(tilted.log_density(grid.reshape(-1, 1))) - penalty,
-                               grid)
-        else:
-            raw = -penalty
-        return raw, kl_divergence(factor, self.marginal(i))
+        return -penalty, kl_divergence(factor, self.marginal(i))
 
     # --- candidates and report echo ----------------------------------------
 

@@ -171,32 +171,19 @@ def reference_scan(model, theta, rng, n_cycles):
 # --------------------------------------------------------------------------
 
 
-def _per_update_expectation(model, grids, values, i, chunk_cells):
+def _per_update_expectation(model, grids, values, i):
     """E over the tables j != i of log_density(x, theta_-i) at block i's nodes:
-    the complement tensor is evaluated for this update alone, in chunks of
-    ``chunk_cells // n_complement`` rows of block i (1-D blocks in order)."""
-    comp = [j for j in range(len(grids)) if j != i]
-    weights = []
-    for j in comp:
-        w = trap_weights(grids[j]) * values[j]
-        weights.append(w / w.sum())
-    comp_w = weights[0]
-    for w in weights[1:]:
-        comp_w = np.multiply.outer(comp_w, w)
-    comp_w = comp_w.reshape(-1)
-    mesh = np.meshgrid(*[grids[j] for j in comp], indexing="ij")
-    comp_points = np.stack([m.reshape(-1) for m in mesh], axis=1)
-    n_comp = comp_points.shape[0]
-    x = grids[i]
-    expected = np.empty(x.size)
-    chunk = max(1, chunk_cells // n_comp)
-    for start in range(0, x.size, chunk):
-        xs = x[start:start + chunk]
-        pts = np.empty((xs.size, n_comp, len(grids)))
-        pts[:, :, i] = xs[:, None]
-        pts[:, :, comp] = comp_points
-        lj = np.asarray(model.log_density(pts.reshape(-1, len(grids))), dtype=float)
-        expected[start:start + xs.size] = lj.reshape(xs.size, n_comp) @ comp_w
+    the whole tensor grid is evaluated for this update alone, then contracted
+    against each other table's normalized trapezoid weights one axis at a time
+    from the last (1-D blocks in order)."""
+    mesh = np.meshgrid(*grids, indexing="ij")
+    points = np.stack([m.reshape(-1) for m in mesh], axis=1)
+    expected = np.asarray(model.log_density(points), dtype=float).reshape(mesh[0].shape)
+    for j in reversed(range(len(grids))):
+        if j != i:
+            w = trap_weights(grids[j]) * values[j]
+            kept = [k for k in range(expected.ndim) if k != j]
+            expected = np.einsum(expected, list(range(expected.ndim)), w / w.sum(), [j], kept)
     return expected
 
 
@@ -208,19 +195,19 @@ def _table_kl(grids, values, i, expected):
     return entropy - float(np.sum(masses[i] * expected))
 
 
-def reference_grid_run(model, grids, values, max_cycles, tolerance, chunk_cells=2**23):
+def reference_grid_run(model, grids, values, max_cycles, tolerance):
     """Grid CAVI over 1-D blocks from normalized tables ``values`` on ``grids``,
     evaluating the log joint once for the starting objective and once for each
     update. Returns the final tables and the objective history."""
     grids = [np.asarray(g, dtype=float) for g in grids]
     values = [np.asarray(v, dtype=float) for v in values]
     history = [_table_kl(grids, values, 0,
-                         _per_update_expectation(model, grids, values, 0, chunk_cells))]
+                         _per_update_expectation(model, grids, values, 0))]
     eps = np.finfo(float).eps
     for _ in range(max_cycles):
         change = 0.0
         for i in range(len(grids)):
-            expected = _per_update_expectation(model, grids, values, i, chunk_cells)
+            expected = _per_update_expectation(model, grids, values, i)
             new = np.exp(expected - np.max(expected))
             mass = float(np.sum(trap_weights(grids[i]) * new))
             if abs(mass - 1.0) > (grids[i].size + 1) * eps:

@@ -299,6 +299,16 @@ def grid_run(model, n=65):
                     init_factors=grid_start(model, n))
 
 
+def truncated(block):
+    """bivariate(0.5) with log density -inf where block ``block`` is over 1."""
+    class Truncated(GaussianTarget):
+        def log_density(self, theta):
+            theta = np.asarray(theta, dtype=float)
+            return np.where(theta[:, block] > 1.0, -np.inf, super().log_density(theta))
+
+    return Truncated([0, 0], [[1, 0.5], [0.5, 1]], make_decomposition([1, 1]))
+
+
 class TestGridTable:
     @pytest.mark.parametrize("model, n, chunked", [
         (bivariate(0.5), 257, False),
@@ -312,15 +322,13 @@ class TestGridTable:
         import duality_bench.cavi as cavi
 
         if chunked:
-            # the table is filled two rows at a time, and contracted three
+            # the table is filled two rows at a time
             complement = n ** (model.decomposition.n_blocks - 1)
             monkeypatch.setattr(cavi, "TABLE_CHUNK_POINTS", 2 * complement)
-            monkeypatch.setattr(cavi, "MAX_GRID_CELLS", 3 * complement)
         init = grid_start(model, n)
         state = grid_run(model, n)
         values, history = reference_grid_run(
-            model, [f.grid for f in init], [f.values for f in init], 60, 1e-10,
-            cavi.MAX_GRID_CELLS)
+            model, [f.grid for f in init], [f.values for f in init], 60, 1e-10)
         assert state.cycles >= 2
         assert state.objective_history == tuple(history)
         assert [f.values.tobytes() for f in state.factors] == [v.tobytes() for v in values]
@@ -357,14 +365,19 @@ class TestGridTable:
         assert rows == []
 
     def test_zero_density_on_positive_mass_raises(self):
-        class Truncated(GaussianTarget):
-            def log_density(self, theta):
-                theta = np.asarray(theta, dtype=float)
-                return np.where(theta[:, 0] > 1.0, -np.inf, super().log_density(theta))
-
-        model = Truncated([0, 0], [[1, 0.5], [0.5, 1]], make_decomposition([1, 1]))
+        model = truncated(0)
         with pytest.raises(ModelError, match="block 0 update: log of zero density"):
             run_cavi(model, CaviConfig(path="grid"), grid_start(model))
+
+    def test_zero_density_on_massless_cells_raises(self):
+        # -inf times block 1's zero mass beyond the cut is NaN in block 0's
+        # expectation: the same ModelError, not a ValueError from the factor
+        model = truncated(1)
+        start = grid_start(model)
+        g = start[1].grid
+        start[1] = GridFactor(g, np.where(g > 1.0, 0.0, np.exp(-0.5 * g**2)))
+        with pytest.raises(ModelError, match="block 0 update: log of zero density"):
+            run_cavi(model, CaviConfig(path="grid"), start)
 
 
 class TestGridObjectiveReuse:

@@ -1,6 +1,9 @@
 """CLI contract: subcommands, exit codes, file formats, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -10,6 +13,7 @@ import pytest
 from duality_bench.cli import main
 from duality_bench.serialize import dumps_json
 
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 DEFAULT_MODEL = {
     "family": "gaussian",
@@ -246,6 +250,20 @@ class TestRunCavi:
         assert "cavi.init" in capsys.readouterr().err
         assert calls == []
         assert not (out / "state.json").exists()
+
+    def test_grid_state_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        # two 4097-node blocks; the contraction's sums must not follow BLAS's split
+        cfg = write_config(tmp_path / "cfg.json",
+                           model={**DEFAULT_MODEL, "covariance": [[1.0, 1.0], [1.0, 4.0]]},
+                           cavi={"max_cycles": 10, "tolerance": 1e-10, "path": "grid"})
+        states = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads-{threads}"
+            env = {**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": threads}
+            subprocess.run([sys.executable, "-m", "duality_bench.cli", "run-cavi",
+                            "--config", str(cfg), "--out", str(out)], check=True, env=env)
+            states.append((out / "state.json").read_bytes())
+        assert states[0] == states[1]
 
 
 class TestDiagnose:

@@ -1,5 +1,7 @@
 """Discrete table model: enumeration exactness of every quantity."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -79,6 +81,12 @@ class TestStateValidation:
         for i in range(2):
             with pytest.raises(ValueError):
                 info_monte_carlo(DiscreteTarget(TABLE), trace, i)
+
+    @pytest.mark.parametrize("value", [1e300, -1.0, 0.5, 2.0])
+    def test_factor_log_density_names_a_bad_value(self, value):
+        # 1e300 is an integer past the support: it must not reach an int cast
+        with pytest.raises(ValueError, match=re.escape(repr(value))):
+            DiscreteFactor([0.5, 0.5]).log_density([[value]])
 
 
 class TestInformationQuantities:

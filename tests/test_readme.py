@@ -1,5 +1,6 @@
-"""The README's library example runs as written, and its contract paragraph
-names every member of the contract."""
+"""The README's library example runs as written, its contract paragraph names
+every member of the contract, and its Determinism section has a note for the
+current artifact version."""
 
 import re
 from pathlib import Path
@@ -26,3 +27,11 @@ def test_target_contract_paragraph_names_every_member():
     named = set(re.findall(r"`(\w+)", paragraph))
     members = {name for name in vars(TargetModel) if not name.startswith("_")}
     assert sorted(members - named) == []
+
+
+def test_determinism_section_notes_the_current_version():
+    from duality_bench import __version__
+
+    section = README.read_text(encoding="utf-8").split("\n## Determinism\n", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    assert f"\n- {__version__}:" in section
