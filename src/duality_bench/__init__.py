@@ -62,4 +62,4 @@ from duality_bench.gibbs import (
 )
 from duality_bench.quadrature import Factor, GridFactor
 
-__version__ = "0.1.4"
+__version__ = "0.1.5"

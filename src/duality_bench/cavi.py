@@ -156,6 +156,9 @@ def _expected_log_joint(table: np.ndarray, factors, i: int) -> np.ndarray:
             axes = list(range(expected.ndim))
             expected = np.einsum(expected, axes, w / w.sum(), [j], axes[:j] + axes[j + 1:])
     if not np.all(np.isfinite(expected)):
+        if np.isnan(expected).any():   # -inf times a zero weight
+            raise ModelError(f"block {i} update: the log density is -inf on cells where "
+                             "the other factors have zero mass")
         raise ModelError(f"block {i} update: log of zero density on a positive-mass region")
     return expected
 

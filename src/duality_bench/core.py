@@ -11,8 +11,8 @@ each as one primitive:
 
 - ``log_density``: the normalized log posterior, at a point or at each row
   of a sample array;
-- ``block_sampler``: the Gibbs step of one block, a full-conditional draw
-  written into the parameter vector from a row of pre-drawn noise;
+- ``scan``: a whole systematic-scan Gibbs chain, run from a start on noise
+  drawn up front;
 - ``block_measure``: nodes and weights for one block (trapezoid weights on a
   continuous block, the counting measure on a discrete one);
 - ``marginal`` and ``log_marginals``: the block marginal as a factor, and
@@ -168,15 +168,15 @@ class TargetModel(ABC):
         ``log_density`` and ``sample(rng)``."""
 
     @abstractmethod
-    def block_sampler(self, i: int):
-        """The Gibbs step of block i: a function ``draw(theta, u)``.
+    def scan(self, theta: np.ndarray, noise: np.ndarray, burn_in: int) -> np.ndarray:
+        """Gibbs cycles from the float vector ``theta``, one per row of
+        ``noise`` (n, D); the rows after the first ``burn_in``.
 
-        ``draw`` overwrites block i of the float vector ``theta`` in place with
-        a draw from ``full_conditional(i, theta_-i)``, made from the noise row
-        ``u`` of width D (uniforms on a discrete model, standard normals
-        otherwise). The block reads only its own slice of ``u``, so on the same
-        random stream the draw equals ``full_conditional(...).sample(rng)``
-        bit for bit, and raises the same errors.
+        Cycle t draws block i = 0..K-1 from ``full_conditional(i, theta_-i)``
+        with block i's slice of row t (uniforms on a discrete model, standard
+        normals otherwise): the draws of ``full_conditional(...).sample(rng)``
+        on the same stream, up to rounding on a continuous model, with the same
+        errors. ``theta`` may be overwritten.
         """
 
     @abstractmethod

@@ -189,26 +189,27 @@ class DiscreteTarget(TargetModel):
             )
         return DiscreteFactor._trusted(c["probs"][flat], c["cumsum"][flat])
 
-    def block_sampler(self, i: int):
-        """Inverse-CDF draw from the cached conditional row of the complement
-        state, with the one uniform ``u[i]``, as ``DiscreteFactor.sample``."""
-        self._decomposition.check_index(i)
-        c = self._cond[i]
+    def scan(self, theta: np.ndarray, noise: np.ndarray, burn_in: int) -> np.ndarray:
+        """Each cycle overwrites the blocks of ``theta`` in order, each by an
+        inverse-CDF draw from the cached conditional row of the complement
+        state with its one uniform ``u[i]``, as ``DiscreteFactor.sample``."""
         # Rows keyed by integer complement state; float keys hash alike.
-        rows = {state: cum.tolist()
-                for state, mass, cum in zip(np.ndindex(self._complement_shape(i)),
-                                            c["mass"], c["cumsum"]) if mass > 0}
-
-        def draw(theta, u):
-            state = theta.tolist()
-            del state[i]
-            comp = tuple(state)
-            cumsum = rows.get(comp)
-            if cumsum is None:  # off the support or zero mass: full_conditional raises
-                cumsum = self.full_conditional(i, comp)._cumsum.tolist()
-            theta[i] = bisect_right(cumsum, u[i])
-
-        return draw
+        rows = [{state: cum.tolist()
+                 for state, mass, cum in zip(np.ndindex(self._complement_shape(i)),
+                                             c["mass"], c["cumsum"]) if mass > 0}
+                for i, c in enumerate(self._cond)]
+        samples = np.empty((noise.shape[0] - burn_in, theta.size))
+        for cycle, u in enumerate(noise):
+            for i, cached in enumerate(rows):
+                state = theta.tolist()
+                del state[i]
+                cumsum = cached.get(tuple(state))
+                if cumsum is None:  # off the support or zero mass: full_conditional raises
+                    cumsum = self.full_conditional(i, state)._cumsum.tolist()
+                theta[i] = bisect_right(cumsum, u[i])
+            if cycle >= burn_in:
+                samples[cycle - burn_in] = theta
+        return samples
 
     def _complement_shape(self, i: int) -> tuple[int, ...]:
         return tuple(n for j, n in enumerate(self._table.shape) if j != i)

@@ -216,6 +216,7 @@ class GaussianTarget(TargetModel):
             raise ModelError("precision @ covariance deviates from identity beyond 1e-8")
         self._precision.setflags(write=False)
         self._blocks = tuple(self._block_cache(i) for i in range(decomposition.n_blocks))
+        self._scan_map = self._compose_scan()
 
     def _block_cache(self, i: int) -> dict:
         dec = self._decomposition
@@ -239,6 +240,21 @@ class GaussianTarget(TargetModel):
             "chol_i": _spd_cholesky(cov_i, f"conditional covariance of block {i}"),
             "lam_ic": lam_ic,
         }
+
+    def _compose_scan(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(B, b, M) of one cycle, theta' = B theta + b + M u: block i's draw
+        mean_i - gain_i (theta_c - mean_c) + chol_i u_i sets its rows from the
+        complement's rows so far. B is the block Gauss-Seidel matrix of the
+        precision (Roberts & Sahu 1997)."""
+        d = self._decomposition.total_dim
+        cycle, offset, noise_map = np.eye(d), np.zeros(d), np.zeros((d, d))
+        for blk in self._blocks:
+            bi, ci, gain = blk["bi"], blk["ci"], blk["gain_i"]
+            cycle[bi] = -np.einsum("ij,jk->ik", gain, cycle[ci])
+            offset[bi] = self._mean[bi] - np.einsum("ij,j->i", gain, offset[ci] - self._mean[ci])
+            noise_map[bi] = -np.einsum("ij,jk->ik", gain, noise_map[ci])
+            noise_map[np.ix_(bi, bi)] = blk["chol_i"]
+        return cycle, offset, noise_map
 
     # --- TargetModel contract ---------------------------------------------
 
@@ -277,39 +293,23 @@ class GaussianTarget(TargetModel):
         cond_mean = self._mean[blk["bi"]] - blk["gain_i"] @ (x_c - self._mean[blk["ci"]])
         return GaussianFactor(cond_mean, blk["cov_i"])
 
-    def block_sampler(self, i: int):
-        """Conditional mean plus chol_i @ u_i, the arithmetic of
-        ``full_conditional(i, x_c).sample`` on the cached block entries.
-
-        When block i and its complement are both 1-D, the draw runs on
-        Python floats: numpy dispatch over 1-element arrays costs several
-        microseconds per block, the float form a fraction of one. A 1x1
-        product is one rounded multiply, so the float form does the same IEEE
-        operations in the same order and the trace is bitwise unchanged.
-        Longer products keep the numpy draw, because BLAS dot products fuse
-        multiply-adds: with standard-normal g, x and m (``default_rng(0)``),
-        ``g @ (x - m)`` equalled the Python-float sum in all of 200,000 cases
-        with a 1-D complement, but missed in 24,670 of 100,000 with a 2-D one
-        and in 22,396 of 66,666 with a 3-D one."""
-        blk = self._blocks[self._decomposition.check_index(i)]
-        block = self._decomposition.block_slice(i)
-        ci, gain, chol = blk["ci"], blk["gain_i"], blk["chol_i"]
-        mean_i, mean_c = self._mean[blk["bi"]], self._mean[ci]
-
-        if gain.shape == (1, 1):
-            k, j = block.start, int(ci[0])
-            m, mc = mean_i.item(), mean_c.item()
-            g, s = gain.item(), chol.item()
-
-            def draw(theta, u):
-                theta[k] = (m - g * (theta.item(j) - mc)) + s * u.item(k)
-
-            return draw
-
-        def draw(theta, u):
-            theta[block] = (mean_i - gain @ (theta[ci] - mean_c)) + chol @ u[block]
-
-        return draw
+    def scan(self, theta: np.ndarray, noise: np.ndarray, burn_in: int) -> np.ndarray:
+        """The cycles as one recurrence y_t = B y_t-1 + b + M u_t, y_0 = theta,
+        by doubling: after the pass with shift s each row sums its last 2s
+        terms (a prefix scan over affine maps, Blelloch 1990). Its rounding
+        differs from per-block draws', growing like eps / (1 - rho(B)). The
+        products run in einsum's loops, not BLAS, so the bits do not depend on
+        the BLAS thread count. Returns a view of the rows after ``burn_in``."""
+        cycle, offset, noise_map = self._scan_map
+        y = np.einsum("ij,tj->ti", noise_map, noise)
+        y += offset
+        y[0] += np.einsum("ij,j->i", cycle, theta)
+        power, shift = cycle, 1
+        while shift < len(y):
+            y[shift:] += np.einsum("ij,tj->ti", power, y[:-shift])
+            power = np.einsum("ij,jk->ik", power, power)
+            shift *= 2
+        return y[burn_in:]
 
     def block_measure(self, i: int, points: int = GRID_POINTS_1D) -> tuple[np.ndarray, np.ndarray]:
         """Trapezoid rule on +-8 marginal standard deviations around the mean."""

@@ -3,7 +3,8 @@
 One cycle resamples blocks in fixed index order 0..K-1, each from its full
 conditional given the most recently drawn values (blocks before i already
 updated this cycle, blocks after i still at the previous cycle). Random-scan
-variants are out of scope; the cycle kernel below assumes ordered sweeps.
+variants are out of scope; the cycle kernel below assumes ordered sweeps. The
+model's ``scan`` runs the sweeps (a Gaussian one as one affine recurrence).
 
 RNG: Philox (4x64, 10 rounds) keyed directly with the config seed, wrapped in
 ``numpy.random.Generator``. The generator is counter-based with a published
@@ -141,21 +142,14 @@ def check_init(model: TargetModel, config: GibbsConfig) -> str:
 
 def _scan(model: TargetModel, theta, rng: np.random.Generator,
           n_cycles: int, burn_in: int) -> np.ndarray:
-    """The systematic scan: ``n_cycles`` sweeps of the block samplers from
-    ``theta``, one row of noise per sweep, drawn up front in a single call.
+    """The systematic scan: ``n_cycles`` sweeps from ``theta`` by the model's
+    ``scan``, one row of noise per sweep, drawn up front in a single call.
     Returns the rows after ``burn_in``."""
     dec = model.decomposition
     theta = dec.check_vector(theta).copy()
-    samplers = [model.block_sampler(i) for i in range(dec.n_blocks)]
     shape = (n_cycles, dec.total_dim)
     noise = rng.random(shape) if model.is_discrete else rng.standard_normal(shape)
-    samples = np.empty((n_cycles - burn_in, dec.total_dim))
-    for cycle, u in enumerate(noise):
-        for draw in samplers:
-            draw(theta, u)
-        if cycle >= burn_in:
-            samples[cycle - burn_in] = theta
-    return samples
+    return model.scan(theta, noise, burn_in)
 
 
 def gibbs_cycle(model: TargetModel, theta, rng: np.random.Generator) -> np.ndarray:
@@ -168,7 +162,8 @@ def run_chain(model: TargetModel, config: GibbsConfig) -> ChainTrace:
 
     Output is a pure function of (seed, config, model): same inputs give
     bitwise-identical traces, equal to repeated ``gibbs_cycle`` calls on the
-    generator after initialization.
+    generator after initialization: bit for bit on a discrete model, up to
+    rounding on a Gaussian one, whose scan is one affine recurrence.
     """
     rng = make_rng(config.seed)
     theta, strategy = _resolve_init(model, config, rng)
@@ -181,8 +176,9 @@ def run_chains(model: TargetModel, config: GibbsConfig, n_chains: int) -> list[C
     """Run n_chains chains with derived seeds seed, seed+1, ... one after another.
 
     Each chain owns its generator, so every trace equals that of ``run_chain``
-    with the derived seed. The scan is Python code that holds the interpreter
-    lock, so running chains in threads would add cost and no speed.
+    with the derived seed. The discrete scan is Python code that holds the
+    interpreter lock, and the Gaussian one takes milliseconds, so running
+    chains in threads would add cost and no speed.
     """
     if n_chains < 1:
         raise ValueError("n_chains must be positive")

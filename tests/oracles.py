@@ -154,7 +154,8 @@ def cavi_fixed_point(model):
 def reference_scan(model, theta, rng, n_cycles):
     """Rows of n_cycles systematic scans from theta, each block drawn by
     ``model.full_conditional(i, theta_-i).sample(rng)``: the per-block
-    reference the models' block samplers must match bit for bit."""
+    reference a discrete model's scan must match bit for bit, and a Gaussian
+    one's within ``scan_bound``."""
     dec = model.decomposition
     theta = np.array(theta, dtype=float)
     rows = np.empty((n_cycles, dec.total_dim))
@@ -164,6 +165,28 @@ def reference_scan(model, theta, rng, n_cycles):
             theta[dec.block_slice(i)] = np.asarray(draw, dtype=float).reshape(-1)
         rows[cycle] = theta
     return rows
+
+
+def gauss_seidel_radius(model):
+    """Spectral radius of the block Gauss-Seidel matrix of the precision
+    Lambda = L + D + U (block lower, diagonal, upper): B = -(L + D)^{-1} U,
+    the linear part of one Gaussian scan cycle about the mean."""
+    dec = model.decomposition
+    lam = np.linalg.inv(model.covariance)
+    lower = np.zeros_like(lam)
+    for i in range(dec.n_blocks):
+        rows = dec.block_slice(i)
+        lower[rows, :rows.stop] = lam[rows, :rows.stop]
+    return float(np.max(np.abs(np.linalg.eigvals(-np.linalg.solve(lower, lam - lower)))))
+
+
+def scan_bound(model):
+    """Per-coordinate bound on a Gaussian scan's distance from the reference
+    scan, 64 eps (|mu_k| + 8 sigma_k) / (1 - rho(B)): rounding of the order of
+    eps times a coordinate's size enters every cycle and is carried on by B,
+    so it accumulates like the geometric series in rho(B)."""
+    scale = np.abs(model.mean) + 8.0 * np.sqrt(np.diag(model.covariance))
+    return 64.0 * np.finfo(float).eps * scale / (1.0 - gauss_seidel_radius(model))
 
 
 # --------------------------------------------------------------------------

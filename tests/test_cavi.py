@@ -371,12 +371,14 @@ class TestGridTable:
 
     def test_zero_density_on_massless_cells_raises(self):
         # -inf times block 1's zero mass beyond the cut is NaN in block 0's
-        # expectation: the same ModelError, not a ValueError from the factor
+        # expectation: a ModelError naming the massless cells, not a ValueError
+        # from the factor
         model = truncated(1)
         start = grid_start(model)
         g = start[1].grid
         start[1] = GridFactor(g, np.where(g > 1.0, 0.0, np.exp(-0.5 * g**2)))
-        with pytest.raises(ModelError, match="block 0 update: log of zero density"):
+        match = "block 0 update: the log density is -inf on cells where the other factors have zero mass"
+        with pytest.raises(ModelError, match=match):
             run_cavi(model, CaviConfig(path="grid"), start)
 
 

@@ -104,6 +104,19 @@ class TestRunGibbs:
         assert (out1 / "trace.csv").read_bytes() == (out2 / "trace.csv").read_bytes()
         assert (out1 / "estimates.json").read_bytes() == (out2 / "estimates.json").read_bytes()
 
+    def test_vector_block_trace_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        # the Gaussian scan's products must not follow BLAS's split of the rows
+        cfg = write_config(tmp_path / "cfg.json", model=VECTOR_BLOCK_MODEL,
+                           gibbs={"n_cycles": 50_000, "burn_in": 1000, "seed": 3})
+        traces = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads-{threads}"
+            env = {**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": threads}
+            subprocess.run([sys.executable, "-m", "duality_bench.cli", "run-gibbs",
+                            "--config", str(cfg), "--out", str(out)], check=True, env=env)
+            traces.append((out / "trace.csv").read_bytes())
+        assert traces[0] == traces[1]
+
     def test_missing_covariance_field_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json",
                            model={"family": "gaussian", "mean": [0.0, 0.0],

@@ -3,6 +3,8 @@ and Monte Carlo estimators."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from duality_bench import (
     ChainTrace,
@@ -20,7 +22,7 @@ from duality_bench import (
     run_chains,
 )
 
-from oracles import random_spd, random_table, reference_scan
+from oracles import random_spd, random_table, reference_scan, scan_bound
 
 TABLE = np.array([[0.4, 0.1], [0.2, 0.3]])
 
@@ -227,6 +229,7 @@ def gaussian(dims):
 
 SCAN_MODELS = {
     "gauss[1,1]": lambda: gaussian([1, 1]),
+    "gauss[1,1]-rho0.998": lambda: bivariate(0.998),
     "gauss[1,2]": lambda: gaussian([1, 2]),
     "gauss[1,1,1]": lambda: gaussian([1, 1, 1]),
     "table3x4x2": lambda: DiscreteTarget(random_table(np.random.default_rng(5), (3, 4, 2))),
@@ -242,9 +245,22 @@ def default_start(model, rng):
     return rng.standard_normal(model.decomposition.total_dim)
 
 
+def assert_matches_reference(model, rows, reference):
+    """A discrete scan's rows equal the reference scan's byte for byte. A
+    Gaussian scan runs the cycles as one affine recurrence, which sums the
+    per-block arithmetic in another order, so its rows are held to the
+    per-coordinate ``scan_bound``."""
+    if model.is_discrete:
+        assert rows.tobytes() == reference.tobytes()
+    else:
+        worst = float(np.max(np.abs(rows - reference) / scan_bound(model)))
+        assert worst <= 1.0, f"deviation is {worst:.3g} of the bound"
+
+
 class TestBlockSamplers:
-    """The chain's block samplers against the full-conditional reference scan,
-    byte for byte; the only byte check of vector-valued blocks."""
+    """The chain's scan against the full-conditional reference scan: byte for
+    byte on tables, within the stated bound on Gaussians, including
+    vector-valued blocks."""
 
     @pytest.mark.parametrize("init", ["default", "explicit"])
     @pytest.mark.parametrize("name", sorted(SCAN_MODELS))
@@ -258,7 +274,7 @@ class TestBlockSamplers:
 
         trace = run_chain(model, GibbsConfig(n_cycles=n_cycles, burn_in=burn_in, seed=seed,
                                              init=init if init == "default" else explicit))
-        assert trace.samples.tobytes() == reference[burn_in:].tobytes()
+        assert_matches_reference(model, trace.samples, reference[burn_in:])
 
         rng = make_rng(seed)
         theta = default_start(model, rng) if init == "default" else explicit
@@ -266,7 +282,7 @@ class TestBlockSamplers:
         for _ in range(n_cycles):
             theta = gibbs_cycle(model, theta, rng)
             cycles.append(theta)
-        assert np.array(cycles).tobytes() == reference.tobytes()
+        assert_matches_reference(model, np.array(cycles), reference)
 
     def test_near_integer_start_is_rounded_as_full_conditional_does(self):
         model = SCAN_MODELS["table3x4x2"]()
@@ -293,10 +309,10 @@ class TestBlockSamplers:
 
 
 def scalar_draw_model(k):
-    """The k-th of 30 seeded 2x1-D Gaussians, whose block samplers draw on
-    Python floats: correlations of both signs, a diagonal covariance (gain 0)
-    every tenth model, a zero mean every third, standard deviations from
-    1e-4 to 1e4 (within a factor 10 of each other)."""
+    """The k-th of 30 seeded 2x1-D Gaussians: correlations of both signs, a
+    diagonal covariance (gain 0) every tenth model, a zero mean every third,
+    standard deviations from 1e-4 to 1e4 (within a factor 10 of each
+    other)."""
     rng = np.random.default_rng(k)
     scales = 10.0 ** rng.uniform(-3, 3) * np.array([1.0, 10.0 ** rng.uniform(-1, 1)])
     rho = 0.0 if k % 10 == 0 else (-1) ** k * rng.uniform(0.05, 0.95)
@@ -306,8 +322,8 @@ def scalar_draw_model(k):
 
 
 class TestScalarBlockDraw:
-    """The float draw of 1-D blocks with a 1-D complement, byte for byte
-    against the full-conditional reference scan."""
+    """The scan of 2x1-D Gaussians over eight decades of scale, within the
+    stated bound of the full-conditional reference scan."""
 
     @pytest.mark.parametrize("init", ["default", "explicit"])
     @pytest.mark.parametrize("k", range(30))
@@ -322,4 +338,28 @@ class TestScalarBlockDraw:
         reference = reference_scan(model, start, rng, n_cycles)
         trace = run_chain(model, GibbsConfig(n_cycles=n_cycles, burn_in=burn_in, seed=seed,
                                              init=init if init == "default" else explicit))
-        assert trace.samples.tobytes() == reference[burn_in:].tobytes()
+        assert_matches_reference(model, trace.samples, reference[burn_in:])
+
+
+@st.composite
+def gaussian_models(draw):
+    """(mean, covariance, block dims): K from 2 to 4 blocks of dims 1 to 3,
+    covariance A A^T + 0.3 I."""
+    dims = draw(st.lists(st.integers(1, 3), min_size=2, max_size=4))
+    d = sum(dims)
+    a = draw(arrays(float, (d, d), elements=st.floats(-2.0, 2.0)))
+    mean = draw(arrays(float, d, elements=st.floats(-10.0, 10.0)))
+    return mean, a @ a.T + 0.3 * np.eye(d), dims
+
+
+# hypothesis reports a failing example through libcst, whose import warns
+@pytest.mark.filterwarnings("ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(spec=gaussian_models(), seed=st.integers(0, 2**32 - 1))
+def test_random_gaussian_scan_stays_within_the_bound_of_the_reference_scan(spec, seed):
+    mean, cov, dims = spec
+    model = GaussianTarget(mean, cov, make_decomposition(dims))
+    rng = make_rng(seed)
+    reference = reference_scan(model, default_start(model, rng), rng, 200)
+    trace = run_chain(model, GibbsConfig(n_cycles=200, burn_in=0, seed=seed))
+    assert_matches_reference(model, trace.samples, reference)
