@@ -38,7 +38,7 @@ __all__ = [
     "CaviConfig",
     "MeanFieldState",
     "cavi_update",
-    "check_grid_table",
+    "check_grid_path",
     "initial_factors",
     "run_cavi",
     "kl_objective",
@@ -98,30 +98,29 @@ class MeanFieldState:
     max_change: float
 
 
-def _grids(model: TargetModel, factors) -> list[np.ndarray]:
-    """The factors' grids, once the model is known to have the continuous 1-D
-    blocks the grid path needs (ModelError otherwise)."""
+def check_grid_path(model: TargetModel, factors=None) -> list[np.ndarray]:
+    """The grid path's grids, one per block: the factors' grids, by default
+    the block measures' nodes. ModelError unless the model has continuous 1-D
+    blocks and the log-joint table over the grids has at most MAX_TABLE_CELLS
+    cells; no density is evaluated."""
     if model.is_discrete:
-        raise ModelError("grid path requires continuous blocks")
+        raise ModelError("the grid path needs continuous blocks; discrete models use \"auto\"")
     if any(d != 1 for d in model.decomposition.block_dims):
-        raise ModelError("grid path requires 1-D blocks")
-    return [f.grid for f in factors]
-
-
-def check_grid_table(grids) -> None:
-    """ModelError when the log-joint table over ``grids``, one grid per block,
-    has more than MAX_TABLE_CELLS cells."""
+        raise ModelError("the grid path needs 1-D blocks")
+    grids = ([model.block_measure(i)[0] for i in range(model.decomposition.n_blocks)]
+             if factors is None else [f.grid for f in factors])
     sizes = [np.size(g) for g in grids]
     if int(np.prod(sizes)) > MAX_TABLE_CELLS:
         raise ModelError(f"grid path table of {' x '.join(map(str, sizes))} nodes is over "
                          f"{MAX_TABLE_CELLS} cells; use coarser grids or fewer blocks")
+    return grids
 
 
-def _log_joint_table(model: TargetModel, grids) -> np.ndarray:
-    """log_density on the tensor grid of all blocks' nodes, axis j on block j's
-    grid, evaluated once in calls of at most TABLE_CHUNK_POINTS points (or one
-    row of block 0, if that is more)."""
-    check_grid_table(grids)
+def _log_joint_table(model: TargetModel, factors) -> np.ndarray:
+    """log_density on the tensor grid of the factors' nodes, axis j on block
+    j's grid, evaluated once in calls of at most TABLE_CHUNK_POINTS points (or
+    one row of block 0, if that is more)."""
+    grids = check_grid_path(model, factors)
     dec = model.decomposition
     shape = tuple(g.size for g in grids)
     rest_points = np.stack(
@@ -184,7 +183,7 @@ def cavi_update(model: TargetModel, factors, i: int, path: str = "auto"):
     if path == "auto":
         table = None
     elif path == "grid":
-        table = _log_joint_table(model, _grids(model, factors))
+        table = _log_joint_table(model, factors)
     else:
         raise ValueError(f"unknown path {path!r}")
     return _step(model, factors, i, table)[0]
@@ -199,8 +198,7 @@ def initial_factors(model: TargetModel, config: CaviConfig) -> list:
         return model.initial_factors(config.init)
     if config.init not in ("default", "standard_normal"):
         raise ModelError(f"grid path has no {config.init!r} initializer")
-    grids = [model.block_measure(i)[0] for i in range(model.decomposition.n_blocks)]
-    return [GridFactor(g, np.exp(-0.5 * g**2)) for g in grids]
+    return [GridFactor(g, np.exp(-0.5 * g**2)) for g in check_grid_path(model)]
 
 
 def run_cavi(model: TargetModel, config: CaviConfig,
@@ -213,7 +211,7 @@ def run_cavi(model: TargetModel, config: CaviConfig,
     factors = list(initial_factors(model, config) if init_factors is None else init_factors)
     if config.path == "grid":
         # the grids are fixed for the run: tabulate once, contract per update
-        table = _log_joint_table(model, _grids(model, factors))
+        table = _log_joint_table(model, factors)
         history = [_grid_kl(factors, 0, _expected_log_joint(table, factors, 0))]
     else:
         table = None
@@ -255,7 +253,7 @@ def kl_objective(model: TargetModel, factors) -> float:
     """
     factors = list(factors)
     if all(isinstance(f, GridFactor) for f in factors):
-        table = _log_joint_table(model, _grids(model, factors))
+        table = _log_joint_table(model, factors)
         return _grid_kl(factors, 0, _expected_log_joint(table, factors, 0))
     return model.product_kl(factors)
 

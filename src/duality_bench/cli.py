@@ -25,14 +25,14 @@ import numpy as np
 
 from duality_bench import __version__
 from duality_bench.cavi import (
-    check_grid_table,
+    check_grid_path,
     initial_factors,
     run_cavi,
     state_from_jsonable,
     state_to_jsonable,
 )
 from duality_bench.config import RunConfig, load_config
-from duality_bench.diagnostics import ATTAINMENT_TOL, GAP_TOL, build_report, duality_suite
+from duality_bench.diagnostics import build_report, duality_suite
 from duality_bench.errors import ConfigError, DualityBenchError, ModelError
 from duality_bench.gibbs import ChainTrace, check_init, estimate, pooled_trace, run_chains
 from duality_bench.serialize import write_csv, write_json, write_trace_csv
@@ -144,23 +144,12 @@ def cmd_run_gibbs(args) -> int:
     return 0
 
 
-def _require_block_measures(model, key: str) -> list:
-    """Every block's measure nodes; exit 2 naming ``key`` unless every block
-    has a measure (the report and the grid path both work on them)."""
-    return [_checked(key, model.block_measure, i)[0]
-            for i in range(model.decomposition.n_blocks)]
-
-
 def cmd_run_cavi(args) -> int:
     cfg = load_config(args.config)
     model = cfg.build_model()
     cavi_cfg = cfg.cavi_config()
     if cavi_cfg.path == "grid":
-        if model.is_discrete:
-            raise ConfigError("cavi.path: the grid path needs continuous blocks; "
-                              "discrete models use \"auto\"")
-        # the grid path starts on these nodes and tabulates the log joint on them
-        _checked("cavi.path", check_grid_table, _require_block_measures(model, "cavi.path"))
+        _checked("cavi.path", check_grid_path, model)
     state = run_cavi(model, cavi_cfg, _checked("cavi.init", initial_factors, model, cavi_cfg))
     out = _out_dir(args, cfg)
     payload = {
@@ -200,7 +189,8 @@ def _load_state_file(path: str, model):
 def cmd_diagnose(args) -> int:
     cfg = load_config(args.config)
     model = cfg.build_model()
-    _require_block_measures(model, "model.block_dims")
+    for i in range(model.decomposition.n_blocks):   # the report works on every block's measure
+        _checked("model.block_dims", model.block_measure, i)
     options = cfg.diagnostics.report
     if options.info_method != "auto":   # "auto" picks a route every model has
         _checked("diagnostics.info_method", model.information_equality, 0, options.info_method)
@@ -224,7 +214,7 @@ def cmd_diagnose(args) -> int:
             **report.to_jsonable(),
         })
     if "csv" in cfg.output_formats:
-        write_csv(out / "report.csv", list(report.CSV_FIELDS), report.to_csv_rows())
+        write_csv(out / "report.csv", *report.csv_table())
     if not report.passed:
         print("diagnostics failed: " + ", ".join(report.failures), file=sys.stderr)
         return 1
@@ -239,8 +229,7 @@ def cmd_verify_duality(args) -> int:
     write_csv(out / "duality_gaps.csv",
               ["trial", "gap", "at_optimum_flag"],
               [[r.trial, r.gap, int(r.at_optimum)] for r in rows])
-    bad = [r for r in rows
-           if r.gap < -GAP_TOL or (r.at_optimum and r.gap > ATTAINMENT_TOL)]
+    bad = [r for r in rows if not r.check.ok]
     if bad:
         print(f"duality verification failed on {len(bad)} of {len(rows)} rows",
               file=sys.stderr)

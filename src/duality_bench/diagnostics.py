@@ -22,7 +22,7 @@ truncation error. Exp-then-integrate steps use log-sum-exp.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -40,6 +40,7 @@ from duality_bench.quadrature import (
 )
 
 __all__ = [
+    "Check",
     "DualityProblem",
     "DualityTrial",
     "make_continuous_duality_problem",
@@ -61,13 +62,26 @@ __all__ = [
 
 GAP_TOL = 1e-10
 ATTAINMENT_TOL = 1e-8
-CONCAVITY_TOL = 1e-8
-INFO_TOL_CONTINUOUS = 1e-8
-INFO_TOL_DISCRETE = 1e-12
 SQUASH_TOL = 1e-10
-RAW_BOUND_TOL = 1e-10
-DISTANT_TV = 1e-4
 SQUASH_GRID_POINTS = 1001
+
+
+@dataclass(frozen=True)
+class Check:
+    """One named verdict: ``value`` lies in the closed interval [lo, hi].
+
+    A missing (None) or NaN value fails. A strict bound is written as the
+    closed one at the next float (``np.nextafter``).
+    """
+
+    name: str
+    value: float | None
+    lo: float = -np.inf
+    hi: float = np.inf
+
+    @property
+    def ok(self) -> bool:
+        return self.value is not None and bool(self.lo <= self.value <= self.hi)
 
 
 # --------------------------------------------------------------------------
@@ -152,7 +166,7 @@ def make_discrete_duality_problem(base_pmf, test_values,
 
 
 def duality_gap(problem: DualityProblem) -> float:
-    """log E_p[exp h] - (E_q[h] - KL(q||p)); always >= -1e-10.
+    """log E_p[exp h] - (E_q[h] - KL(q||p)), nonnegative up to roundoff.
 
     Equals KL(q || exponential tilt of p by h) on the working measure, hence
     nonnegative up to roundoff and zero exactly at the tilt.
@@ -173,6 +187,12 @@ class DualityTrial:
     trial: int
     at_optimum: bool
     gap: float
+
+    @property
+    def check(self) -> Check:
+        """The gap is nonnegative, and zero at the exact tilt."""
+        return Check("duality_gap", self.gap, lo=-GAP_TOL,
+                     hi=ATTAINMENT_TOL if self.at_optimum else np.inf)
 
 
 def duality_suite(family: str, trials: int, seed: int) -> list[DualityTrial]:
@@ -201,12 +221,9 @@ def duality_suite(family: str, trials: int, seed: int) -> list[DualityTrial]:
             def h_fn(x, a=a, b=b, c=c):
                 return a + b * x - c * x * x
 
-            var_p = float(p.covariance[0, 0])
-            mean_p = float(p.mean[0])
-            tilt_prec = 1.0 / var_p + 2.0 * c
-            tilt_var = 1.0 / tilt_prec
-            tilt_mean = tilt_var * (mean_p / var_p + b)
-            tilt = GaussianFactor([tilt_mean], [[tilt_var]])
+            # the tilt's precision is p's plus 2c; its precision times mean, p's plus b
+            tilt_cov = 1.0 / (1.0 / p.covariance + 2.0 * c)
+            tilt = GaussianFactor(tilt_cov[0] * (p.mean / p.covariance[0] + b), tilt_cov)
             grid = _gaussian_cover(p, q, tilt)
             gap_rand = duality_gap(make_continuous_duality_problem(p, h_fn, q, grid))
             gap_tilt = duality_gap(make_continuous_duality_problem(p, h_fn, tilt, grid))
@@ -299,7 +316,7 @@ class _FunctionalWorkspace:
 
 def concavity_probe(model: TargetModel, i: int, complement_value, p, q,
                     a: float) -> float:
-    """F(a p + (1-a) q) - [a F(p) + (1-a) F(q)]; must be >= -1e-8."""
+    """F(a p + (1-a) q) - [a F(p) + (1-a) F(q)], nonnegative up to roundoff."""
     ws = _FunctionalWorkspace(model, i, complement_value)
     return ws.concavity_slack(ws.density_values(p), ws.density_values(q), a)
 
@@ -360,7 +377,7 @@ def squashing_constant(model: TargetModel, state: MeanFieldState, i: int) -> flo
 
 def squash_pointwise_check(model: TargetModel, state: MeanFieldState, i: int,
                            grid=None) -> float:
-    """min over the grid of pi(theta_i|y) - R * q*(theta_i); >= -1e-10.
+    """min over the grid of pi(theta_i|y) - R * q*(theta_i), nonnegative up to roundoff.
 
     The grid defaults to the nodes of a 1001-point block measure. Pairs R
     with the stored factor i, which equals the coordinate update of the
@@ -414,45 +431,33 @@ class ReportOptions:
 
 @dataclass(frozen=True)
 class BlockDiagnostics:
-    """All scalar diagnostics for one block, plus named pass/fail checks."""
+    """One block's reported values, in report order from its 1-based label
+    ``block``, and its checks, in the order the report lists them."""
 
-    block: int
-    duality_gap: float
-    functional_at_conditional: float
-    log_complement_marginal: float
-    attainment_abs_error: float
-    f_suite_max_excess: float
-    f_suite_min_distant_gap: float
-    concavity_min_slack: float
-    mutual_information: float
-    complement_entropy: float
-    conditional_entropy: float
-    information_residual: float
-    symmetric_information_residual: float
-    info_method: str
-    mi_mc: float
-    mi_mc_se: float | None
-    complement_entropy_mc: float
-    complement_entropy_mc_se: float | None
-    conditional_entropy_mc: float
-    conditional_entropy_mc_se: float | None
-    squashing_constant: float
-    min_squash_slack: float
-    kl_factor_to_marginal: float
-    kl_lower_bound_raw: float
-    kl_lower_bound: float
-    checks: dict[str, bool]
+    values: dict
+    checks: tuple[Check, ...]
 
 
 @dataclass(frozen=True)
 class DiagnosticsReport:
+    """The echoed inputs and the per-block diagnostics; the verdicts derive
+    from the blocks' check records."""
+
     model_echo: dict
     gibbs_echo: dict
     cavi_echo: dict
     options_echo: dict
     blocks: tuple[BlockDiagnostics, ...]
-    passed: bool
-    failures: tuple[str, ...]
+
+    @property
+    def failures(self) -> tuple[str, ...]:
+        """``block<label>.<check>`` for every failed check, block by block."""
+        return tuple(f"block{b.values['block']}.{c.name}"
+                     for b in self.blocks for c in b.checks if not c.ok)
+
+    @property
+    def passed(self) -> bool:
+        return not self.failures
 
     def to_jsonable(self) -> dict:
         return {
@@ -460,23 +465,23 @@ class DiagnosticsReport:
             "gibbs": self.gibbs_echo,
             "cavi": self.cavi_echo,
             "options": self.options_echo,
-            "blocks": [asdict(b) for b in self.blocks],
+            "blocks": [{**b.values, "checks": {c.name: c.ok for c in b.checks}}
+                       for b in self.blocks],
             "passed": self.passed,
             "failures": list(self.failures),
         }
 
-    # one column per scalar field of a block, then the block's verdict
-    CSV_FIELDS = (*(f.name for f in fields(BlockDiagnostics)
-                    if f.name not in ("info_method", "checks")), "passed")
-
-    def to_csv_rows(self) -> list[list]:
-        return [[getattr(b, name) for name in self.CSV_FIELDS[:-1]] + [all(b.checks.values())]
-                for b in self.blocks]
+    def csv_table(self) -> tuple[list[str], list[list]]:
+        """The report.csv header and rows: one column per numeric value of a
+        block, then whether all of the block's checks passed."""
+        names = [k for k, v in self.blocks[0].values.items() if not isinstance(v, str)]
+        return [*names, "passed"], [[b.values[k] for k in names] + [all(c.ok for c in b.checks)]
+                                    for b in self.blocks]
 
 
 def build_report(model: TargetModel, trace: ChainTrace, state: MeanFieldState,
                  options: ReportOptions | None = None) -> DiagnosticsReport:
-    """Run every per-block diagnostic and collect named pass/fail checks.
+    """Run every per-block diagnostic and collect its values and check records.
 
     The randomized candidate/mixture suites are driven by a Philox generator
     keyed with ``options.suite_seed``; the seed is echoed in the report, so
@@ -488,11 +493,11 @@ def build_report(model: TargetModel, trace: ChainTrace, state: MeanFieldState,
         raise ModelError("trace does not match the model decomposition")
     if len(state.factors) != dec.n_blocks:
         raise ModelError("state does not match the model decomposition")
-    info_tol = INFO_TOL_DISCRETE if model.is_discrete else INFO_TOL_CONTINUOUS
+    # exact summation holds the information equalities to float precision
+    info_tol = 1e-12 if model.is_discrete else 1e-8
     rng = make_rng(options.suite_seed)
     reference = model.reference_point()
     blocks: list[BlockDiagnostics] = []
-    failures: list[str] = []
     for i in range(dec.n_blocks):
         c_ref = reference[dec.complement_indices(i)]
         ws = _FunctionalWorkspace(model, i, c_ref)
@@ -505,7 +510,7 @@ def build_report(model: TargetModel, trace: ChainTrace, state: MeanFieldState,
             qv = ws.density_values(model.random_factor(i, rng))
             gap = ws.log_bound - ws.value(qv)
             max_excess = max(max_excess, -gap)
-            if ws.tv_from_conditional(qv) > DISTANT_TV:
+            if ws.tv_from_conditional(qv) > 1e-4:   # distant from the conditional
                 min_distant_gap = min(min_distant_gap, gap)
         min_slack = np.inf
         for _ in range(options.concavity_mixtures):
@@ -515,66 +520,59 @@ def build_report(model: TargetModel, trace: ChainTrace, state: MeanFieldState,
             min_slack = min(min_slack, ws.concavity_slack(
                 ws.density_values(p_cand), ws.density_values(q_cand), a))
         info = information_equality_check(model, i, method=options.info_method)
-        mc = info_monte_carlo(model, trace, i)
         r_value = squashing_constant(model, state, i)
         squash_slack = squash_pointwise_check(
             model, state, i, grid=model.block_measure(i, options.squash_grid_points)[0])
         bound = kl_lower_bound(model, state, i)
-
-        def _mc_ok(est: Estimate, truth: float) -> bool:
-            if est.standard_error is None:
-                return False
-            return abs(est.mean - truth) <= 3.0 * max(est.standard_error, 1e-15)
-
-        checks = {
-            "duality_gap_nonnegative": gap_state >= -GAP_TOL,
-            "functional_attained_at_conditional": attainment_err <= ATTAINMENT_TOL,
-            "functional_bounded": max_excess <= ATTAINMENT_TOL,
-            "functional_equality_only_at_conditional": min_distant_gap > ATTAINMENT_TOL,
-            "concavity": min_slack >= -CONCAVITY_TOL,
-            "information_equality": info.residual <= info_tol,
-            "information_equality_symmetric": info.symmetric_residual <= info_tol,
-            "mi_mc_within_3se": _mc_ok(mc["mutual_information"], info.mutual_information),
-            "complement_entropy_mc_within_3se": _mc_ok(
-                mc["complement_entropy"], info.complement_entropy),
-            "conditional_entropy_mc_within_3se": _mc_ok(
-                mc["conditional_entropy"], info.conditional_entropy),
-            "squashing_constant_in_unit_interval": 0.0 < r_value <= 1.0 + SQUASH_TOL,
-            "squash_pointwise": squash_slack >= -SQUASH_TOL,
-            "kl_nonnegative": bound.kl >= 0.0,
-            "kl_above_bound": bound.kl >= bound.bound - GAP_TOL,
-            "kl_bound_raw_nonpositive": bound.raw_log_value <= RAW_BOUND_TOL,
+        values = {
+            "block": i + 1,
+            "duality_gap": float(gap_state),
+            "functional_at_conditional": float(f_cond),
+            "log_complement_marginal": float(ws.log_bound),
+            "attainment_abs_error": float(attainment_err),
+            "f_suite_max_excess": float(max_excess),
+            "f_suite_min_distant_gap": float(min_distant_gap),
+            "concavity_min_slack": float(min_slack),
+            "mutual_information": info.mutual_information,
+            "complement_entropy": info.complement_entropy,
+            "conditional_entropy": info.conditional_entropy,
+            "information_residual": info.residual,
+            "symmetric_information_residual": info.symmetric_residual,
+            "info_method": info.method,
         }
-        label = i + 1
-        failures.extend(f"block{label}.{name}" for name, ok in checks.items() if not ok)
-        blocks.append(BlockDiagnostics(
-            block=label,
-            duality_gap=float(gap_state),
-            functional_at_conditional=float(f_cond),
-            log_complement_marginal=float(ws.log_bound),
-            attainment_abs_error=float(attainment_err),
-            f_suite_max_excess=float(max_excess),
-            f_suite_min_distant_gap=float(min_distant_gap),
-            concavity_min_slack=float(min_slack),
-            mutual_information=info.mutual_information,
-            complement_entropy=info.complement_entropy,
-            conditional_entropy=info.conditional_entropy,
-            information_residual=info.residual,
-            symmetric_information_residual=info.symmetric_residual,
-            info_method=info.method,
-            mi_mc=mc["mutual_information"].mean,
-            mi_mc_se=mc["mutual_information"].standard_error,
-            complement_entropy_mc=mc["complement_entropy"].mean,
-            complement_entropy_mc_se=mc["complement_entropy"].standard_error,
-            conditional_entropy_mc=mc["conditional_entropy"].mean,
-            conditional_entropy_mc_se=mc["conditional_entropy"].standard_error,
-            squashing_constant=float(r_value),
-            min_squash_slack=float(squash_slack),
-            kl_factor_to_marginal=float(bound.kl),
-            kl_lower_bound_raw=float(bound.raw_log_value),
-            kl_lower_bound=float(bound.bound),
-            checks=checks,
-        ))
+        mc_checks = []
+        for key, est in info_monte_carlo(model, trace, i).items():
+            prefix = "mi" if key == "mutual_information" else key
+            se = est.standard_error
+            values[f"{prefix}_mc"], values[f"{prefix}_mc_se"] = est.mean, se
+            # within 3 standard errors of the exact value; no verdict without an SE
+            mc_checks.append(Check(f"{prefix}_mc_within_3se",
+                                   None if se is None else abs(est.mean - getattr(info, key)),
+                                   hi=3.0 * max(se or 0.0, 1e-15)))
+        values.update({
+            "squashing_constant": float(r_value),
+            "min_squash_slack": float(squash_slack),
+            "kl_factor_to_marginal": float(bound.kl),
+            "kl_lower_bound_raw": float(bound.raw_log_value),
+            "kl_lower_bound": float(bound.bound),
+        })
+        blocks.append(BlockDiagnostics(values, (
+            Check("duality_gap_nonnegative", gap_state, lo=-GAP_TOL),
+            Check("functional_attained_at_conditional", attainment_err, hi=ATTAINMENT_TOL),
+            Check("functional_bounded", max_excess, hi=ATTAINMENT_TOL),
+            Check("functional_equality_only_at_conditional", min_distant_gap,
+                  lo=np.nextafter(ATTAINMENT_TOL, np.inf)),
+            Check("concavity", min_slack, lo=-1e-8),
+            Check("information_equality", info.residual, hi=info_tol),
+            Check("information_equality_symmetric", info.symmetric_residual, hi=info_tol),
+            *mc_checks,
+            Check("squashing_constant_in_unit_interval", r_value,
+                  lo=np.nextafter(0.0, 1.0), hi=1.0 + SQUASH_TOL),
+            Check("squash_pointwise", squash_slack, lo=-SQUASH_TOL),
+            Check("kl_nonnegative", bound.kl, lo=0.0),
+            Check("kl_above_bound", bound.kl, lo=bound.bound - GAP_TOL),
+            Check("kl_bound_raw_nonpositive", bound.raw_log_value, hi=1e-10),
+        )))
     return DiagnosticsReport(
         model_echo=model.echo(),
         gibbs_echo={
@@ -591,6 +589,4 @@ def build_report(model: TargetModel, trace: ChainTrace, state: MeanFieldState,
         },
         options_echo=asdict(options),
         blocks=tuple(blocks),
-        passed=not failures,
-        failures=tuple(failures),
     )

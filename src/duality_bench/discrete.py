@@ -15,7 +15,7 @@ conditional meets positive complement-factor mass (absolute continuity).
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,6 +43,18 @@ def _safe_log(p: np.ndarray) -> np.ndarray:
         return np.log(p)
 
 
+def _cdf(probs: np.ndarray) -> np.ndarray:
+    """Cumulative sums of each row of ``probs`` along its last axis, exactly
+    1.0 from the row's last positive-probability state onward, so that no
+    uniform in [0, 1) draws past it (a sum can end below 1 by rounding).
+    Rows without mass are kept as summed."""
+    cums = np.cumsum(probs, axis=-1)
+    positive = probs > 0
+    last = probs.shape[-1] - 1 - np.argmax(positive[..., ::-1], axis=-1)
+    cums[(np.arange(probs.shape[-1]) >= last[..., None]) & positive.any(-1, keepdims=True)] = 1.0
+    return cums
+
+
 def _state_indices(values, shape) -> np.ndarray:
     """Integer states of the rows of ``values`` in a table of ``shape``.
 
@@ -68,7 +80,6 @@ class DiscreteFactor(Factor):
     """Pmf over one block's support {0..n-1}; nonnegative, sums to 1."""
 
     pmf: np.ndarray
-    _cumsum: np.ndarray = field(init=False, repr=False)
     kind = "discrete"
 
     def __post_init__(self):
@@ -81,19 +92,15 @@ class DiscreteFactor(Factor):
         if abs(total - 1.0) > INPUT_MASS_TOL:
             raise ValueError(f"pmf sums to {total!r}, expected 1 within {INPUT_MASS_TOL}")
         pmf = pmf / total
-        cumsum = np.cumsum(pmf)
         pmf.setflags(write=False)
-        cumsum.setflags(write=False)
         object.__setattr__(self, "pmf", pmf)
-        object.__setattr__(self, "_cumsum", cumsum)
 
     @classmethod
-    def _trusted(cls, pmf: np.ndarray, cumsum: np.ndarray) -> "DiscreteFactor":
-        # The cached conditional rows, kept as they are: the validated
-        # constructor divides by the sum, which moves rows not summing to 1.0.
+    def _trusted(cls, pmf: np.ndarray) -> "DiscreteFactor":
+        # A cached conditional row, kept as it is: the validated constructor
+        # divides by the sum, which moves rows not summing to 1.0.
         obj = object.__new__(cls)
         object.__setattr__(obj, "pmf", pmf)
-        object.__setattr__(obj, "_cumsum", cumsum)
         return obj
 
     def values_at(self, nodes) -> np.ndarray:
@@ -109,8 +116,10 @@ class DiscreteFactor(Factor):
         return float(out[0]) if out.size == 1 and np.ndim(x) <= 1 else out
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
+        """An inverse-CDF draw, the one ``DiscreteTarget.scan`` makes from a
+        cached row (the CDF is formed here: most factors are never drawn from)."""
         u = rng.random()
-        return np.array([float(np.searchsorted(self._cumsum, u, side="right"))])
+        return np.array([float(np.searchsorted(_cdf(self.pmf), u, side="right"))])
 
     def entropy(self) -> float:
         return -float(np.sum(_xlogy(self.pmf, _safe_log(self.pmf))))
@@ -146,7 +155,7 @@ class DiscreteTarget(TargetModel):
             mass = rows.sum(axis=1)
             with np.errstate(invalid="ignore"):
                 probs = np.where(mass[:, None] > 0, rows / np.where(mass[:, None] > 0, mass[:, None], 1.0), 0.0)
-            cums = np.cumsum(probs, axis=1)
+            cums = _cdf(probs)
             for arr in (rows, mass, probs, cums):
                 arr.setflags(write=False)
             self._cond.append({"rows": rows, "mass": mass, "probs": probs, "cumsum": cums})
@@ -187,7 +196,7 @@ class DiscreteTarget(TargetModel):
                 f"conditioning event for block {i} (complement state {comp[0].tolist()}) "
                 "has zero probability mass"
             )
-        return DiscreteFactor._trusted(c["probs"][flat], c["cumsum"][flat])
+        return DiscreteFactor._trusted(c["probs"][flat])
 
     def scan(self, theta: np.ndarray, noise: np.ndarray, burn_in: int) -> np.ndarray:
         """Each cycle overwrites the blocks of ``theta`` in order, each by an
@@ -205,7 +214,7 @@ class DiscreteTarget(TargetModel):
                 del state[i]
                 cumsum = cached.get(tuple(state))
                 if cumsum is None:  # off the support or zero mass: full_conditional raises
-                    cumsum = self.full_conditional(i, state)._cumsum.tolist()
+                    cumsum = _cdf(self.full_conditional(i, state).pmf).tolist()
                 theta[i] = bisect_right(cumsum, u[i])
             if cycle >= burn_in:
                 samples[cycle - burn_in] = theta

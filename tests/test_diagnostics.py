@@ -2,6 +2,7 @@
 constant, and the aggregated report."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -31,7 +32,14 @@ from duality_bench import (
     squashing_constant,
 )
 from duality_bench.cavi import MeanFieldState
-from duality_bench.diagnostics import _FunctionalWorkspace, info_monte_carlo
+from duality_bench.diagnostics import (
+    ATTAINMENT_TOL,
+    GAP_TOL,
+    SQUASH_TOL,
+    DualityTrial,
+    _FunctionalWorkspace,
+    info_monte_carlo,
+)
 from duality_bench.serialize import dumps_json
 
 from oracles import kl_quadrature, normal_logpdf, quad, random_table, trap_weights
@@ -369,21 +377,21 @@ class TestBuildReport:
         assert report.passed
         assert report.failures == ()
         for b in report.blocks:
-            assert b.duality_gap >= -1e-10
-            assert b.attainment_abs_error <= 1e-8
-            assert 0 < b.squashing_constant <= 1 + 1e-10
-            assert b.min_squash_slack >= -1e-10
-            assert b.kl_lower_bound_raw <= 1e-10
+            assert b.values["duality_gap"] >= -1e-10
+            assert b.values["attainment_abs_error"] <= 1e-8
+            assert 0 < b.values["squashing_constant"] <= 1 + 1e-10
+            assert b.values["min_squash_slack"] >= -1e-10
+            assert b.values["kl_lower_bound_raw"] <= 1e-10
 
     def test_factorized_model_is_clean(self):
         model, trace, state = self.make_inputs(rho=0.0, seed=4)
         report = build_report(model, trace, state)
         assert report.passed
         for b in report.blocks:
-            assert abs(b.duality_gap) <= 1e-8
-            assert b.information_residual <= 1e-8
-            assert b.mutual_information <= 1e-8
-            assert b.squashing_constant == pytest.approx(1.0, abs=1e-10)
+            assert abs(b.values["duality_gap"]) <= 1e-8
+            assert b.values["information_residual"] <= 1e-8
+            assert b.values["mutual_information"] <= 1e-8
+            assert b.values["squashing_constant"] == pytest.approx(1.0, abs=1e-10)
 
     def test_discrete_pipeline_passes(self):
         model = DiscreteTarget(TABLE)
@@ -392,7 +400,7 @@ class TestBuildReport:
         report = build_report(model, trace, state)
         assert report.passed
         for b in report.blocks:
-            assert b.information_residual <= 1e-12
+            assert b.values["information_residual"] <= 1e-12
 
     def test_corrupted_state_fails_squash_check(self):
         model, trace, state = self.make_inputs()
@@ -414,7 +422,7 @@ class TestBuildReport:
         parsed = json.loads(text)
         assert dumps_json(parsed) == text
         assert parsed["blocks"][0]["squashing_constant"] == pytest.approx(
-            report.blocks[0].squashing_constant, abs=1e-12)
+            report.blocks[0].values["squashing_constant"], abs=1e-12)
 
     def test_model_mismatch_rejected(self):
         model, trace, state = self.make_inputs()
@@ -440,4 +448,72 @@ class TestBuildReport:
         report = build_report(model, trace, state)
         assert report.passed, report.failures
         assert len(report.blocks) == 3
-        assert all(b.info_method == "closed_form" for b in report.blocks)
+        assert all(b.values["info_method"] == "closed_form" for b in report.blocks)
+
+
+class TestCheckRecords:
+    """Each check is one record, value within [lo, hi]; the report's verdicts
+    derive from the records."""
+
+    KEEP = "value as built"
+
+    @pytest.fixture(scope="class")
+    def short_report(self):
+        # 60 retained samples: too few for batch-means SEs, so the Monte Carlo
+        # checks have no value; factor 0's variance is inflated past the marginal's
+        model = bivariate(0.5)
+        trace = run_chain(model, GibbsConfig(n_cycles=100, burn_in=40, seed=0))
+        state = converged_state(model)
+        tampered = replace(state, factors=(GaussianFactor(state.factors[0].mean, [[2.0]]),
+                                           state.factors[1]))
+        return build_report(model, trace, tampered,
+                            ReportOptions(f_candidates=5, concavity_mixtures=5))
+
+    @pytest.mark.parametrize("name, value, ok", [
+        ("functional_equality_only_at_conditional", ATTAINMENT_TOL, False),
+        ("functional_equality_only_at_conditional", np.nextafter(ATTAINMENT_TOL, 1.0), True),
+        ("squashing_constant_in_unit_interval", 0.0, False),
+        ("squashing_constant_in_unit_interval", 5e-324, True),
+        ("squashing_constant_in_unit_interval", 1 + SQUASH_TOL, True),
+        ("squashing_constant_in_unit_interval", np.nextafter(1 + SQUASH_TOL, 2.0), False),
+        ("duality_gap_nonnegative", -GAP_TOL, True),
+        ("duality_gap_nonnegative", np.nextafter(-GAP_TOL, -1.0), False),
+        ("mi_mc_within_3se", KEEP, False),
+        ("complement_entropy_mc_within_3se", KEEP, False),
+        ("conditional_entropy_mc_within_3se", KEEP, False),
+        ("*", np.nan, False),
+    ])
+    def test_record_verdict_at_its_bounds(self, short_report, name, value, ok):
+        checks = [c for b in short_report.blocks for c in b.checks if name in ("*", c.name)]
+        assert len(checks) == (30 if name == "*" else 2)
+        for check in checks:
+            if value is self.KEEP:
+                assert check.value is None   # no SE, no verdict
+            else:
+                check = replace(check, value=value)
+            assert check.ok is ok
+
+    def test_failures_list_the_failed_records_block_by_block(self, short_report):
+        mc = ["mi_mc_within_3se", "complement_entropy_mc_within_3se",
+              "conditional_entropy_mc_within_3se"]
+        assert short_report.failures == (
+            *(f"block1.{n}" for n in mc), "block1.squash_pointwise", *(f"block2.{n}" for n in mc))
+        assert not short_report.passed
+        jsonable = short_report.to_jsonable()
+        assert jsonable["failures"] == list(short_report.failures)
+        assert [[k for k, ok in b["checks"].items() if not ok] for b in jsonable["blocks"]] == [
+            [*mc, "squash_pointwise"], mc]
+        header, rows = short_report.csv_table()
+        assert header[0] == "block" and header[-1] == "passed"
+        assert [row[-1] for row in rows] == [False, False]
+
+    @pytest.mark.parametrize("at_optimum, gap, ok", [
+        (False, -GAP_TOL, True),
+        (False, np.nextafter(-GAP_TOL, -1.0), False),
+        (False, 1.0, True),
+        (True, ATTAINMENT_TOL, True),
+        (True, np.nextafter(ATTAINMENT_TOL, 1.0), False),
+        (True, np.nan, False),
+    ])
+    def test_duality_trial_record(self, at_optimum, gap, ok):
+        assert DualityTrial(trial=0, at_optimum=at_optimum, gap=gap).check.ok is ok

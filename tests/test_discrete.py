@@ -60,6 +60,31 @@ class TestFullConditional:
         assert mass == pytest.approx(1.0, abs=1e-15)
 
 
+class TestCdfTail:
+    """A cumulative sum that ends below 1 by rounding still draws, at the
+    largest uniform below 1, the last state with positive probability."""
+
+    TOP = np.nextafter(1.0, 0.0)
+
+    class _TopUniform:
+        def random(self):
+            return TestCdfTail.TOP
+
+    # the summed pmfs end at 0.9999999999999999
+    @pytest.mark.parametrize("pmf, last", [([0.34, 0.56, 0.1], 2),
+                                           ([0.34, 0.56, 0.1, 0.0], 2),
+                                           ([0.34, 0.0, 0.56, 0.1, 0.0, 0.0], 3)])
+    def test_factor_sample_stays_on_the_support(self, pmf, last):
+        assert DiscreteFactor(pmf).sample(self._TopUniform()).tolist() == [last]
+
+    def test_scan_stays_on_the_support(self):
+        # block 1's conditional row given block 0 = 0 is [0.1, 0.1, 0.8, 0], summed
+        # to 0.9999999999999999; from (0, 2) block 0 draws 0 again at any uniform
+        table = np.array([[1, 1, 8, 0], [1, 1, 0, 2]]) / 14
+        samples = DiscreteTarget(table).scan(np.array([0.0, 2.0]), np.full((3, 2), self.TOP), 0)
+        assert samples.tolist() == [[0.0, 2.0]] * 3
+
+
 class TestStateValidation:
     # a negative index, a fractional value, and an index past the support
     BAD_ROWS = [[-1, 0], [0.7, 1], [2, 0]]

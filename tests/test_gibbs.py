@@ -352,8 +352,6 @@ def gaussian_models(draw):
     return mean, a @ a.T + 0.3 * np.eye(d), dims
 
 
-# hypothesis reports a failing example through libcst, whose import warns
-@pytest.mark.filterwarnings("ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
 @settings(derandomize=True, max_examples=60, deadline=None, database=None)
 @given(spec=gaussian_models(), seed=st.integers(0, 2**32 - 1))
 def test_random_gaussian_scan_stays_within_the_bound_of_the_reference_scan(spec, seed):
