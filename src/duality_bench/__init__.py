@@ -4,9 +4,9 @@ duality-formula diagnostics over decomposed parameter spaces."""
 import os
 
 # numpy's OpenBLAS workers busy-wait (about 0.1 s on a 2-core x86_64 machine)
-# after the library loads and after each threaded call before they sleep. The package's BLAS calls are small or few, so the wait only burns
-# CPU: let the workers sleep at once. It has to be set before numpy loads; a
-# value the user has set wins.
+# after the library loads and after each threaded call before they sleep. The
+# package's BLAS calls are small or few, so the wait only burns CPU: let the
+# workers sleep at once. Set it before numpy loads; a user's value wins.
 os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
 
 from duality_bench.cavi import (

@@ -192,13 +192,15 @@ def cavi_update(model: TargetModel, factors, i: int, path: str = "auto"):
 def initial_factors(model: TargetModel, config: CaviConfig) -> list:
     """``run_cavi``'s starting factors for ``config.init``: the target's own on
     the "auto" path, standard-normal tables on the block measures' nodes on the
-    grid path. ModelError when there is no such initializer.
+    grid path, whose rules ``run_cavi`` checks on them (``check_grid_path``).
+    ModelError when there is no such initializer.
     """
     if config.path == "auto":
         return model.initial_factors(config.init)
     if config.init not in ("default", "standard_normal"):
         raise ModelError(f"grid path has no {config.init!r} initializer")
-    return [GridFactor(g, np.exp(-0.5 * g**2)) for g in check_grid_path(model)]
+    grids = (model.block_measure(i)[0] for i in range(model.decomposition.n_blocks))
+    return [GridFactor(g, np.exp(-0.5 * g**2)) for g in grids]
 
 
 def run_cavi(model: TargetModel, config: CaviConfig,

@@ -4,10 +4,12 @@
         --config <path> [--out <dir>] [--seed <u64>] [--parallel-chains N]
 
 Exit codes: 0 success; 1 a diagnostic/verification check failed (the failure
-list is machine-readable in the JSON report); 2 config error; 3 runtime model
-error. Every output file is a pure function of the config file bytes (and the
-artifact version): fixed seeds, 17-significant-digit floats, stable key
-order, LF endings.
+list is machine-readable in the JSON report, and stderr gives each failed
+check's value, bounds and margin); 2 config error naming the field, raised by
+the command's preflight before any chain, CAVI run or output file; 3 runtime
+model error, or an array too large to allocate. Every output file is a pure
+function of the config file bytes (and the artifact version): fixed seeds,
+17-significant-digit floats, stable key order, LF endings.
 
 The default output directory is, in order: --out, output.directory from the
 config, the DUALITY_BENCH_OUT environment variable, ./out.
@@ -40,28 +42,12 @@ from duality_bench.serialize import write_csv, write_json, write_trace_csv
 __all__ = ["main"]
 
 
-def _out_dir(args, cfg: RunConfig) -> Path:
-    directory = args.out or cfg.output_directory or os.environ.get(
-        "DUALITY_BENCH_OUT") or "out"
-    path = Path(directory)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
-def _model_echo(cfg: RunConfig) -> dict:
-    return dict(cfg.model_section)
-
-
 def _trace_header(model) -> list[str]:
     dec = model.decomposition
     header = ["cycle"]
     for i, d in enumerate(dec.block_dims):
         header.extend(f"block{i + 1}_dim{k + 1}" for k in range(d))
     return header
-
-
-def _write_trace(path: Path, model, trace: ChainTrace) -> None:
-    write_trace_csv(path, _trace_header(model), trace.burn_in + 1, trace.samples)
 
 
 def _estimates_payload(cfg: RunConfig, model, traces: list[ChainTrace]) -> dict:
@@ -101,7 +87,7 @@ def _estimates_payload(cfg: RunConfig, model, traces: list[ChainTrace]) -> dict:
             })
     return {
         "artifact_version": __version__,
-        "model": _model_echo(cfg),
+        "model": dict(cfg.model_section),
         "n_chains": len(traces),
         "seeds": [t.seed for t in traces],
         "burn_in": traces[0].burn_in,
@@ -122,42 +108,45 @@ def _checked(key: str, fn, *args):
         raise ConfigError(f"{key}: {exc}") from exc
 
 
-def _gibbs_config(cfg: RunConfig, model, seed: int | None):
-    """The chain settings, with the initializer tried on the model first."""
-    gibbs_cfg = cfg.gibbs_config(seed_override=seed)
-    _checked("gibbs.init", check_init, model, gibbs_cfg)
-    return gibbs_cfg
+def _preflight(args) -> tuple[RunConfig, object, Path]:
+    """Every command's first checks: the config, its model, and the output
+    directory, made here so that a path that cannot be one fails before any
+    work."""
+    if getattr(args, "parallel_chains", 1) < 1:
+        raise ConfigError("--parallel-chains must be positive")
+    cfg = load_config(args.config)
+    model = cfg.build_model()
+    out = Path(args.out or cfg.output_directory or os.environ.get("DUALITY_BENCH_OUT")
+               or "out")
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"output.directory: cannot create {out}: {exc.strerror}") from exc
+    return cfg, model, out
 
 
 def cmd_run_gibbs(args) -> int:
-    cfg = load_config(args.config)
-    model = cfg.build_model()
-    gibbs_cfg = _gibbs_config(cfg, model, args.seed)
+    cfg, model, out = _preflight(args)
+    gibbs_cfg = cfg.gibbs_config(seed_override=args.seed)
+    _checked("gibbs.init", check_init, model, gibbs_cfg)
     traces = run_chains(model, gibbs_cfg, args.parallel_chains)
-    out = _out_dir(args, cfg)
-    if len(traces) == 1:
-        _write_trace(out / "trace.csv", model, traces[0])
-    else:
-        for k, trace in enumerate(traces):
-            _write_trace(out / f"trace_chain{k + 1}.csv", model, trace)
+    names = (["trace.csv"] if len(traces) == 1
+             else [f"trace_chain{k + 1}.csv" for k in range(len(traces))])
+    for name, trace in zip(names, traces):
+        write_trace_csv(out / name, _trace_header(model), trace.burn_in + 1, trace.samples)
     write_json(out / "estimates.json", _estimates_payload(cfg, model, traces))
     return 0
 
 
 def cmd_run_cavi(args) -> int:
-    cfg = load_config(args.config)
-    model = cfg.build_model()
+    cfg, model, out = _preflight(args)
     cavi_cfg = cfg.cavi_config()
     if cavi_cfg.path == "grid":
         _checked("cavi.path", check_grid_path, model)
-    state = run_cavi(model, cavi_cfg, _checked("cavi.init", initial_factors, model, cavi_cfg))
-    out = _out_dir(args, cfg)
-    payload = {
-        "artifact_version": __version__,
-        "model": _model_echo(cfg),
-        **state_to_jsonable(state),
-    }
-    write_json(out / "state.json", payload)
+    start = _checked("cavi.init", initial_factors, model, cavi_cfg)
+    state = run_cavi(model, cavi_cfg, start)
+    write_json(out / "state.json", {"artifact_version": __version__,
+                                    "model": dict(cfg.model_section), **state_to_jsonable(state)})
     return 0
 
 
@@ -187,47 +176,47 @@ def _load_state_file(path: str, model):
 
 
 def cmd_diagnose(args) -> int:
-    cfg = load_config(args.config)
-    model = cfg.build_model()
+    cfg, model, out = _preflight(args)
+    options = cfg.diagnostics.report
     for i in range(model.decomposition.n_blocks):   # the report works on every block's measure
         _checked("model.block_dims", model.block_measure, i)
-    options = cfg.diagnostics.report
+        _checked("diagnostics.grid_points", model.block_measure, i, options.squash_grid_points)
     if options.info_method != "auto":   # "auto" picks a route every model has
         _checked("diagnostics.info_method", model.information_equality, 0, options.info_method)
-    gibbs_cfg = _gibbs_config(cfg, model, args.seed)
-    # CAVI draws no random numbers and takes milliseconds: run it before the
-    # chain, so that a model it cannot serve fails at once
+    gibbs_cfg = cfg.gibbs_config(seed_override=args.seed)
+    _checked("gibbs.init", check_init, model, gibbs_cfg)
     if cfg.diagnostics.state_file is None:
         cavi_cfg = cfg.cavi_config()
         if cavi_cfg.path == "grid":
             raise ConfigError("cavi.path: the report needs the family's closed-form "
                               "factors; diagnose uses \"auto\"")
-        state = run_cavi(model, cavi_cfg, _checked("cavi.init", initial_factors, model, cavi_cfg))
+        start = _checked("cavi.init", initial_factors, model, cavi_cfg)
     else:
         state = _load_state_file(cfg.diagnostics.state_file, model)
+    # CAVI draws no random numbers and takes milliseconds: run it before the
+    # chain, so that a table it cannot serve fails at once
+    if cfg.diagnostics.state_file is None:
+        state = run_cavi(model, cavi_cfg, start)
     traces = run_chains(model, gibbs_cfg, args.parallel_chains)
     report = build_report(model, pooled_trace(traces), state, options)
-    out = _out_dir(args, cfg)
     if "json" in cfg.output_formats:
-        write_json(out / "report.json", {
-            "artifact_version": __version__,
-            **report.to_jsonable(),
-        })
+        write_json(out / "report.json", {"artifact_version": __version__,
+                                         **report.to_jsonable()})
     if "csv" in cfg.output_formats:
         write_csv(out / "report.csv", *report.csv_table())
     if not report.passed:
-        print("diagnostics failed: " + ", ".join(report.failures), file=sys.stderr)
+        print("diagnostics failed: " + "; ".join(
+            f"{name} = {c.value} not in [{c.lo}, {c.hi}], margin {c.margin}"
+            for name, c in report.failed_checks.items()), file=sys.stderr)
         return 1
     return 0
 
 
 def cmd_verify_duality(args) -> int:
-    cfg = load_config(args.config)
-    rows = duality_suite(cfg.build_model().echo()["family"], cfg.diagnostics.duality_trials,
+    cfg, model, out = _preflight(args)
+    rows = duality_suite(model.echo()["family"], cfg.diagnostics.duality_trials,
                          cfg.diagnostics.report.suite_seed)
-    out = _out_dir(args, cfg)
-    write_csv(out / "duality_gaps.csv",
-              ["trial", "gap", "at_optimum_flag"],
+    write_csv(out / "duality_gaps.csv", ["trial", "gap", "at_optimum_flag"],
               [[r.trial, r.gap, int(r.at_optimum)] for r in rows])
     bad = [r for r in rows if not r.check.ok]
     if bad:
@@ -265,15 +254,12 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    if getattr(args, "parallel_chains", 1) < 1:
-        print("config error: --parallel-chains must be positive", file=sys.stderr)
-        return 2
     try:
         return args.handler(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (ModelError, DualityBenchError, ValueError) as exc:
+    except (ModelError, DualityBenchError, ValueError, MemoryError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 3
 

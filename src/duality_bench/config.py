@@ -50,6 +50,12 @@ def _as_number_list(value, path: str) -> list[float]:
     return [_as_number(v, f"{path}[{k}]") for k, v in enumerate(value)]
 
 
+def _as_int_list(value, path: str) -> list[int]:
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"{path}: expected a non-empty list of integers")
+    return [_as_int(v, f"{path}[{k}]") for k, v in enumerate(value)]
+
+
 def _as_section(value, path: str) -> dict:
     if not isinstance(value, dict):
         raise ConfigError(f"{path}: expected an object")
@@ -88,16 +94,15 @@ class RunConfig:
                 raise ConfigError("model.covariance: expected a list of rows")
             cov = [_as_number_list(row, f"model.covariance[{k}]")
                    for k, row in enumerate(cov_raw)]
-            dims = _require(section, "block_dims", "model")
-            dims = [_as_int(d, f"model.block_dims[{k}]") for k, d in enumerate(dims)]
+            dims = _as_int_list(_require(section, "block_dims", "model"), "model.block_dims")
             try:
                 return GaussianTarget(np.asarray(mean), np.asarray(cov),
                                       make_decomposition(dims))
             except (ValueError, ModelError) as exc:
                 raise ConfigError(f"model: {exc}") from exc
         if family == "discrete":
-            sizes = _require(section, "support_sizes", "model")
-            sizes = [_as_int(n, f"model.support_sizes[{k}]") for k, n in enumerate(sizes)]
+            sizes = _as_int_list(_require(section, "support_sizes", "model"),
+                                 "model.support_sizes")
             flat = _as_number_list(_require(section, "joint_pmf", "model"),
                                    "model.joint_pmf")
             expected = int(np.prod(sizes))
@@ -123,8 +128,6 @@ class RunConfig:
         seed = _as_int(section.get("seed", 0), "gibbs.seed")
         if seed_override is not None:
             seed = seed_override
-        if not 0 <= seed < MAX_SEED:
-            raise ConfigError("gibbs.seed: must be a 64-bit unsigned integer")
         init = section.get("init", "default")
         if isinstance(init, list):
             init = np.asarray(_as_number_list(init, "gibbs.init"))

@@ -83,6 +83,12 @@ class Check:
     def ok(self) -> bool:
         return self.value is not None and bool(self.lo <= self.value <= self.hi)
 
+    @property
+    def margin(self) -> float:
+        """The distance to the nearer bound, negative outside; NaN without a value."""
+        value = np.nan if self.value is None else self.value
+        return min(value - self.lo, self.hi - value)
+
 
 # --------------------------------------------------------------------------
 # Theorem-level duality problems
@@ -450,10 +456,14 @@ class DiagnosticsReport:
     blocks: tuple[BlockDiagnostics, ...]
 
     @property
+    def failed_checks(self) -> dict[str, Check]:
+        """Every failed check by ``block<label>.<check>``, block by block."""
+        return {f"block{b.values['block']}.{c.name}": c
+                for b in self.blocks for c in b.checks if not c.ok}
+
+    @property
     def failures(self) -> tuple[str, ...]:
-        """``block<label>.<check>`` for every failed check, block by block."""
-        return tuple(f"block{b.values['block']}.{c.name}"
-                     for b in self.blocks for c in b.checks if not c.ok)
+        return tuple(self.failed_checks)
 
     @property
     def passed(self) -> bool:

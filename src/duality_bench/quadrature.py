@@ -135,9 +135,8 @@ class Factor(ABC):
 class GridFactor(Factor):
     """Density tabulated on a fixed 1-D grid, trapezoid-normalized.
 
-    The generic (non-analytic) CAVI path and the diagnostics mixture probes
-    represent block densities this way. Densities are only ever evaluated at
-    their own grid nodes; no interpolation happens.
+    The grid CAVI path represents its block densities this way. Densities are
+    only ever evaluated at their own grid nodes; no interpolation happens.
     """
 
     grid: np.ndarray

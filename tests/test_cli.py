@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -40,6 +41,7 @@ def write_config(path, **overrides):
     return path
 
 
+COMMANDS = ["run-gibbs", "run-cavi", "diagnose", "verify-duality"]
 DIAGNOSE_GIBBS = {"n_cycles": 30_000, "burn_in": 1000, "seed": 0}
 GRID_TABLE = {"family": "discrete", "support_sizes": [3, 2],
               "joint_pmf": [0.1, 0.2, 0.15, 0.05, 0.3, 0.2]}
@@ -449,7 +451,11 @@ class TestDiagnose:
         report = json.loads((out2 / "report.json").read_text())
         assert report["passed"] is False
         assert any("squash_pointwise" in f for f in report["failures"])
-        assert "squash" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "squash" in err
+        # the failed check's value, its bounds and its margin, negative outside
+        assert re.search(r"block1\.squash_pointwise = -[\d.e-]+ not in \[-1e-10, inf\], "
+                         r"margin -[\d.e-]+", err)
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", gibbs=DIAGNOSE_GIBBS)
@@ -588,9 +594,13 @@ class TestConfigValidation:
         # three 4097-node grids make a log-joint table over the grid path's bound
         ("run-cavi", {"model": THREE_BLOCK_MODEL, "cavi": {"path": "grid"}}, 2,
          "cavi.path: grid path table of 4097 x 4097 x 4097 nodes"),
+        # no block measure has that many nodes
+        ("diagnose", {"diagnostics": {"suite_seed": 1, "grid_points": 2**64}}, 2,
+         "diagnostics.grid_points: "),
     ], ids=["f_candidates-0", "concavity_mixtures-neg", "support-size-1", "mean-1e308-gibbs",
             "mean-1e308-diagnose", "init-1e300-gibbs", "init-1e300-diagnose",
-            "table-quadrature", "zero-cells-1000", "zero-cells-diagonal", "grid-three-blocks"])
+            "table-quadrature", "zero-cells-1000", "zero-cells-diagonal", "grid-three-blocks",
+            "grid-points-2**64"])
     def test_schema_accepted_input_fails_before_the_chain(self, tmp_path, capsys, monkeypatch,
                                                           command, overrides, code, named):
         import duality_bench.cli as cli
@@ -624,3 +634,41 @@ class TestConfigValidation:
             assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert f"model: {field} must not contain infs or NaNs" in capsys.readouterr().err
         assert calls == []
+
+    @pytest.mark.parametrize("value", [0, 1, -1, 0.5, 1e300, 2**64, True, None])
+    @pytest.mark.parametrize("model, field", [(DEFAULT_MODEL, "block_dims"),
+                                              (TABLE_2X2, "support_sizes")],
+                             ids=["block_dims", "support_sizes"])
+    def test_list_field_given_as_a_scalar_exits_2(self, tmp_path, capsys, model, field,
+                                                   value):
+        cfg = write_config(tmp_path / "cfg.json", model={**model, field: value})
+        for command in COMMANDS:
+            assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+            assert (f"model.{field}: expected a non-empty list of integers"
+                    in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_output_directory_naming_a_file_exits_2_before_any_work(self, tmp_path, capsys,
+                                                                    monkeypatch, command):
+        import duality_bench.cli as cli
+
+        calls = []
+        for name in ("run_chains", "run_cavi", "duality_suite"):
+            monkeypatch.setattr(cli, name, lambda *args: calls.append(args))
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        cfg = write_config(tmp_path / "cfg.json", output={"directory": str(taken)})
+        assert main([command, "--config", str(cfg)]) == 2
+        assert f"output.directory: cannot create {taken}" in capsys.readouterr().err
+        assert calls == []
+
+    # each request is larger than any address space, so the allocation fails at once
+    @pytest.mark.parametrize("command, overrides", [
+        ("run-gibbs", {"gibbs": {"n_cycles": 10**15, "burn_in": 0}}),
+        ("diagnose", {"gibbs": {"n_cycles": 10**15, "burn_in": 0}}),
+        ("diagnose", {"diagnostics": {"suite_seed": 1, "grid_points": 10**15}}),
+    ], ids=["chain-gibbs", "chain-diagnose", "grid-points"])
+    def test_unallocatable_array_exits_3(self, tmp_path, capsys, command, overrides):
+        cfg = write_config(tmp_path / "cfg.json", **overrides)
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err.startswith("runtime error: Unable to allocate")
