@@ -24,7 +24,6 @@ from duality_bench.core import (
 from duality_bench.diagnostics import (
     BlockDiagnostics,
     DiagnosticsReport,
-    DualityProblem,
     InfoEquality,
     KlBound,
     ReportOptions,
@@ -34,8 +33,6 @@ from duality_bench.diagnostics import (
     duality_suite,
     information_equality_check,
     kl_lower_bound,
-    make_continuous_duality_problem,
-    make_discrete_duality_problem,
     squash_pointwise_check,
     squashing_constant,
 )
@@ -62,4 +59,4 @@ from duality_bench.gibbs import (
 )
 from duality_bench.quadrature import Factor, GridFactor
 
-__version__ = "0.1.5"
+__version__ = "0.1.6"

@@ -26,6 +26,7 @@ standard normal tables for the grid path).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,7 +111,7 @@ def check_grid_path(model: TargetModel, factors=None) -> list[np.ndarray]:
     grids = ([model.block_measure(i)[0] for i in range(model.decomposition.n_blocks)]
              if factors is None else [f.grid for f in factors])
     sizes = [np.size(g) for g in grids]
-    if int(np.prod(sizes)) > MAX_TABLE_CELLS:
+    if math.prod(sizes) > MAX_TABLE_CELLS:
         raise ModelError(f"grid path table of {' x '.join(map(str, sizes))} nodes is over "
                          f"{MAX_TABLE_CELLS} cells; use coarser grids or fewer blocks")
     return grids

@@ -8,6 +8,7 @@ exactly which field is missing or malformed (exit code 2).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -105,7 +106,7 @@ class RunConfig:
                                  "model.support_sizes")
             flat = _as_number_list(_require(section, "joint_pmf", "model"),
                                    "model.joint_pmf")
-            expected = int(np.prod(sizes))
+            expected = math.prod(sizes)
             if len(flat) != expected:
                 raise ConfigError(
                     f"model.joint_pmf: expected {expected} entries for "

@@ -5,8 +5,10 @@ Covers, per block of a target model:
 - the duality gap  log E_p[exp h] - (E_q[h] - KL(q||p)), nonnegative and zero
   exactly at the exponential tilt of p by h;
 - the induced functional  F{q} = E_q[log pi(theta_-i | theta_i, y)] -
-  KL(q || pi(theta_i | y)), concave, bounded by log pi(theta_-i | y), and
-  attaining that bound only at the full conditional;
+  KL(q || pi(theta_i | y)): the same objective E_q[h] - KL(q||p), with
+  p = pi(theta_i | y) and h = log pi(theta_-i | theta_i, y). It is concave,
+  bounded by log pi(theta_-i | y), the formula's left side, and attains that
+  bound only at the full conditional, the tilt;
 - the information equalities  I = H(theta_-i) - H(theta_-i | theta_i)
   (and the symmetric form), each side computed independently;
 - the squashing constant  R = integral of exp E_q[log full conditional] over
@@ -34,17 +36,13 @@ from duality_bench.gibbs import ChainTrace, Estimate, estimate, make_rng
 from duality_bench.quadrature import (
     GRID_POINTS_1D,
     HALF_WIDTH_SIGMAS,
-    log_integral,
     logsumexp,
     trapezoid_weights,
 )
 
 __all__ = [
     "Check",
-    "DualityProblem",
     "DualityTrial",
-    "make_continuous_duality_problem",
-    "make_discrete_duality_problem",
     "duality_gap",
     "duality_suite",
     "concavity_probe",
@@ -91,101 +89,55 @@ class Check:
 
 
 # --------------------------------------------------------------------------
-# Theorem-level duality problems
+# The duality formula's objective and gap
 # --------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DualityProblem:
-    """A (base p, test function h, candidate q) triple on one space.
-
-    Continuous problems carry a quadrature grid and log densities at its
-    nodes, both renormalized on the grid measure; discrete problems carry
-    exact pmfs (grid is None) with -inf marking empty cells.
-    """
-
-    grid: np.ndarray | None
-    log_base: np.ndarray
-    test_values: np.ndarray
-    log_candidate: np.ndarray
-
-    def __post_init__(self):
-        for name in ("log_base", "test_values", "log_candidate"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        if self.grid is not None:
-            g = np.asarray(self.grid, dtype=float)
-            g.setflags(write=False)
-            object.__setattr__(self, "grid", g)
 
 
 def _gaussian_cover(*factors) -> np.ndarray:
     """Nodes over the union of the +-8 sigma spans of 1-D Gaussian factors."""
-    if not factors:
-        raise ValueError("pass an explicit grid for non-Gaussian densities")
     spans = [(float(f.mean[0]), float(np.sqrt(f.covariance[0, 0]))) for f in factors]
     lo = min(m - HALF_WIDTH_SIGMAS * s for m, s in spans)
     hi = max(m + HALF_WIDTH_SIGMAS * s for m, s in spans)
     return np.linspace(lo, hi, GRID_POINTS_1D)
 
 
-def make_continuous_duality_problem(base, test_fn, candidate,
-                                    grid=None) -> DualityProblem:
-    """Tabulate p, h, q on a shared grid and renormalize on its measure.
-
-    The grid defaults to the union +-8 sigma cover of Gaussian inputs. The
-    integrability of exp(h) under p is checked numerically: the integrand
-    must have decayed by 1e-12 relative to its peak at both grid ends.
-    """
-    if grid is None:
-        grid = _gaussian_cover(*(f for f in (base, candidate) if f.kind == "gaussian"))
-    grid = np.asarray(grid, dtype=float)
-    log_p = base.log_values_at(grid)
-    log_q = candidate.log_values_at(grid)
-    h = np.asarray(test_fn(grid), dtype=float)
-    if not np.all(np.isfinite(h)):
-        raise ModelError("test function must be finite on the working grid")
-    integrand = log_p + h
-    peak = float(np.max(integrand))
-    if max(integrand[0], integrand[-1]) > peak + np.log(1e-12):
-        raise ModelError("exp h is not integrable against the base on the working grid")
-    log_p = log_p - log_integral(log_p, grid)
-    log_q = log_q - log_integral(log_q, grid)
-    return DualityProblem(grid=grid, log_base=log_p, test_values=h, log_candidate=log_q)
+def _mass(weights: np.ndarray, values: np.ndarray) -> float:
+    """The mass of a density's values at a measure's nodes, by which this module
+    renormalizes densities on the measure; ModelError unless it is positive."""
+    mass = float(np.sum(weights * values))
+    if mass <= 0:
+        raise ModelError("density has zero mass on the measure")
+    return mass
 
 
-def make_discrete_duality_problem(base_pmf, test_values,
-                                  candidate_pmf) -> DualityProblem:
-    p = np.asarray(base_pmf, dtype=float).reshape(-1)
-    q = np.asarray(candidate_pmf, dtype=float).reshape(-1)
-    h = np.asarray(test_values, dtype=float).reshape(-1)
-    if not p.shape == q.shape == h.shape:
-        raise ValueError("base, test values, and candidate must share one support")
-    if np.any(p < 0) or np.any(q < 0):
-        raise ValueError("pmfs must be nonnegative")
-    if np.any((q > 0) & (p <= 0)):
+def _dual_objective(weights, log_p, h, q_values) -> float:
+    """E_q[h] - KL(q||p) on a measure, for its weights, log p and h at its nodes
+    and q's values there, renormalized on it."""
+    mass = weights * q_values
+    support = mass > 0
+    if np.any(support & np.isneginf(log_p)):
         raise SupportError("candidate has mass outside the base support")
+    e_term = float(np.sum(mass[support] * h[support]))
     with np.errstate(divide="ignore"):
-        log_p, log_q = np.log(p / p.sum()), np.log(q / q.sum())
-    return DualityProblem(grid=None, log_base=log_p, test_values=h, log_candidate=log_q)
+        log_q = np.log(q_values[support])
+    kl_term = float(np.sum(mass[support] * (log_q - log_p[support])))
+    return e_term - kl_term
 
 
-def duality_gap(problem: DualityProblem) -> float:
-    """log E_p[exp h] - (E_q[h] - KL(q||p)), nonnegative up to roundoff.
+def duality_gap(weights, log_p, h, q_values) -> float:
+    """log E_p[exp h] - (E_q[h] - KL(q||p)) on a measure, for its weights, log p
+    and h at its nodes and q's values there, p and q renormalized on it.
 
-    Equals KL(q || exponential tilt of p by h) on the working measure, hence
-    nonnegative up to roundoff and zero exactly at the tilt.
+    Equals KL(q || exponential tilt of p by h) on the measure, hence
+    nonnegative up to roundoff and zero exactly at the tilt. ValueError unless
+    the four arrays share one support.
     """
-    # log weights of the working measure: trapezoid on a grid, 0 for counting
-    logw = 0.0 if problem.grid is None else np.log(trapezoid_weights(problem.grid))
-    h, log_p, log_q = problem.test_values, problem.log_base, problem.log_candidate
-    p_mask, q_mask = log_p > -np.inf, log_q > -np.inf
-    lhs = logsumexp((log_p + logw)[p_mask] + h[p_mask])
-    q_mass = np.exp((log_q + logw)[q_mask])
-    e_q_h = float(np.sum(q_mass * h[q_mask]))
-    kl = float(np.sum(q_mass * (log_q[q_mask] - log_p[q_mask])))
-    return lhs - (e_q_h - kl)
+    weights, log_p, h, q_values = (np.asarray(a, dtype=float)
+                                   for a in (weights, log_p, h, q_values))
+    if not weights.shape == log_p.shape == h.shape == q_values.shape:
+        raise ValueError("weights, log p, h and q must share one support")
+    objective = _dual_objective(weights, log_p, h, q_values)
+    return logsumexp(np.log(weights) + log_p + h) - objective
 
 
 @dataclass(frozen=True)
@@ -223,16 +175,13 @@ def duality_suite(family: str, trials: int, seed: int) -> list[DualityTrial]:
             q = GaussianFactor([rng.uniform(-2, 2)], [[rng.uniform(0.25, 4)]])
             a, b = rng.uniform(-1, 1, size=2)
             c = rng.uniform(0, 0.5)
-
-            def h_fn(x, a=a, b=b, c=c):
-                return a + b * x - c * x * x
-
             # the tilt's precision is p's plus 2c; its precision times mean, p's plus b
             tilt_cov = 1.0 / (1.0 / p.covariance + 2.0 * c)
             tilt = GaussianFactor(tilt_cov[0] * (p.mean / p.covariance[0] + b), tilt_cov)
-            grid = _gaussian_cover(p, q, tilt)
-            gap_rand = duality_gap(make_continuous_duality_problem(p, h_fn, q, grid))
-            gap_tilt = duality_gap(make_continuous_duality_problem(p, h_fn, tilt, grid))
+            nodes = _gaussian_cover(p, q, tilt)
+            weights = trapezoid_weights(nodes)
+            h = a + b * nodes - c * nodes * nodes
+            log_p, q, tilt = p.log_values_at(nodes), q.values_at(nodes), tilt.values_at(nodes)
         else:
             n = int(rng.integers(2, 9))
             p = rng.exponential(size=n)
@@ -242,10 +191,12 @@ def duality_suite(family: str, trials: int, seed: int) -> list[DualityTrial]:
             h = rng.uniform(-2, 2, size=n)
             tilt = p * np.exp(h)
             tilt /= tilt.sum()
-            gap_rand = duality_gap(make_discrete_duality_problem(p, h, q))
-            gap_tilt = duality_gap(make_discrete_duality_problem(p, h, tilt))
-        out.append(DualityTrial(trial=t, at_optimum=False, gap=gap_rand))
-        out.append(DualityTrial(trial=t, at_optimum=True, gap=gap_tilt))
+            weights, log_p = np.ones(n), np.log(p)
+        # p in log space, so that its far tail stays finite where q has mass
+        log_p = log_p - np.log(_mass(weights, np.exp(log_p)))
+        for at_optimum, values in ((False, q), (True, tilt)):
+            gap = duality_gap(weights, log_p, h, values / _mass(weights, values))
+            out.append(DualityTrial(trial=t, at_optimum=at_optimum, gap=gap))
     return out
 
 
@@ -281,29 +232,16 @@ class _FunctionalWorkspace:
                 self.log_marginal > -np.inf, log_joint - self.log_marginal, -np.inf)
         self.conditional_values = self.density_values(model.full_conditional(i, c))
 
-    def _renormalize(self, values: np.ndarray) -> np.ndarray:
-        values = np.asarray(values, dtype=float)
-        mass = float(np.sum(self.weights * values))
-        if mass <= 0:
-            raise ModelError("candidate density has zero mass on the block grid")
-        return values / mass
-
     def density_values(self, q) -> np.ndarray:
         """Values of the factor q at the block nodes, renormalized on the measure."""
-        return self._renormalize(q.values_at(self.grid))
+        values = q.values_at(self.grid)
+        return values / _mass(self.weights, values)
 
     def value(self, q_values: np.ndarray) -> float:
-        """F{q} for q's values at the block nodes; at most ``log_bound``, with
-        equality only at the full conditional."""
-        mass = self.weights * q_values
-        support = mass > 0
-        if np.any(support & np.isneginf(self.log_marginal)):
-            raise SupportError("candidate has mass outside the marginal support")
-        e_term = float(np.sum(mass[support] * self.log_cond_at_c[support]))
-        with np.errstate(divide="ignore"):
-            log_q = np.log(q_values[support])
-        kl_term = float(np.sum(mass[support] * (log_q - self.log_marginal[support])))
-        return e_term - kl_term
+        """F{q} for q's values at the block nodes: the dual objective with base
+        the block marginal and h = log pi(c | .); at most ``log_bound``, with
+        equality only at the full conditional, the tilt."""
+        return _dual_objective(self.weights, self.log_marginal, self.log_cond_at_c, q_values)
 
     def tv_from_conditional(self, q_values: np.ndarray) -> float:
         return 0.5 * float(np.sum(self.weights * np.abs(

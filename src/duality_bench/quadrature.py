@@ -1,4 +1,4 @@
-"""Trapezoid quadrature, log-space integrals, the block-factor contract, and
+"""Trapezoid quadrature, log-sum-exp, the block-factor contract, and
 grid-tabulated densities.
 
 A :class:`Factor` is one block density q_i of a CAVI product. The engines use
@@ -25,7 +25,6 @@ __all__ = [
     "trapezoid_weights",
     "gaussian_grid",
     "tensor_weights",
-    "log_integral",
     "Factor",
     "GridFactor",
 ]
@@ -50,12 +49,15 @@ def trapezoid_weights(grid) -> np.ndarray:
     return w
 
 
-def gaussian_grid(mean: float, std: float, n: int = GRID_POINTS_1D,
-                  half_width: float = HALF_WIDTH_SIGMAS) -> np.ndarray:
-    """Uniform grid covering [mean - half_width*std, mean + half_width*std]."""
+def gaussian_grid(mean: float, std: float, n: int = GRID_POINTS_1D) -> np.ndarray:
+    """n uniform nodes covering [mean - 8 std, mean + 8 std]."""
     if std <= 0:
         raise ValueError("std must be positive")
-    return np.linspace(mean - half_width * std, mean + half_width * std, n)
+    # no numpy array has more bytes than an intp counts; linspace fails past that
+    # with an IndexError or a ValueError, by the count
+    if n > np.iinfo(np.intp).max // np.dtype(float).itemsize:
+        raise ValueError(f"{n} nodes are more than numpy can index")
+    return np.linspace(mean - HALF_WIDTH_SIGMAS * std, mean + HALF_WIDTH_SIGMAS * std, n)
 
 
 def tensor_weights(*grids) -> np.ndarray:
@@ -81,12 +83,6 @@ def logsumexp(a) -> float:
             s = s / m
         out = np.log1p(s) + np.log(m) + a_max
     return float(out if np.isfinite(out) else direct)
-
-
-def log_integral(log_values, grid) -> float:
-    """log of the trapezoid integral of exp(log_values) over grid."""
-    logw = np.log(trapezoid_weights(grid))
-    return logsumexp(np.asarray(log_values, dtype=float) + logw)
 
 
 class Factor(ABC):

@@ -1,6 +1,8 @@
 """Coordinate-ascent engine: updates, convergence, objective monotonicity,
 and equivalence of the analytic / summation / grid paths."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -363,6 +365,14 @@ class TestGridTable:
             with pytest.raises(ModelError, match="8193 x 8193 nodes is over"):
                 call()
         assert rows == []
+
+    def test_a_cell_count_past_int64_raises(self):
+        from duality_bench.cavi import check_grid_path
+
+        # 2**63 cells, which an int64 product wraps to -2**63; the views allocate nothing
+        factor = SimpleNamespace(grid=np.broadcast_to(0.0, (2**21,)))
+        with pytest.raises(ModelError, match="2097152 x 2097152 x 2097152 nodes is over"):
+            check_grid_path(three_blocks(), [factor] * 3)
 
     def test_zero_density_on_positive_mass_raises(self):
         model = truncated(0)

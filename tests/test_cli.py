@@ -597,10 +597,15 @@ class TestConfigValidation:
         # no block measure has that many nodes
         ("diagnose", {"diagnostics": {"suite_seed": 1, "grid_points": 2**64}}, 2,
          "diagnostics.grid_points: "),
+        ("diagnose", {"diagnostics": {"suite_seed": 1, "grid_points": 2**63}}, 2,
+         "diagnostics.grid_points: "),
+        # the cell count is exact, not wrapped in int64
+        ("run-gibbs", {"model": {**TABLE_2X2, "support_sizes": [2**32, 2**32]}}, 2,
+         "model.joint_pmf: expected 18446744073709551616 entries"),
     ], ids=["f_candidates-0", "concavity_mixtures-neg", "support-size-1", "mean-1e308-gibbs",
             "mean-1e308-diagnose", "init-1e300-gibbs", "init-1e300-diagnose",
             "table-quadrature", "zero-cells-1000", "zero-cells-diagonal", "grid-three-blocks",
-            "grid-points-2**64"])
+            "grid-points-2**64", "grid-points-2**63", "cells-2**64"])
     def test_schema_accepted_input_fails_before_the_chain(self, tmp_path, capsys, monkeypatch,
                                                           command, overrides, code, named):
         import duality_bench.cli as cli

@@ -23,9 +23,7 @@ from duality_bench import (
     duality_suite,
     information_equality_check,
     kl_lower_bound,
-    make_continuous_duality_problem,
     make_decomposition,
-    make_discrete_duality_problem,
     run_cavi,
     run_chain,
     squash_pointwise_check,
@@ -38,6 +36,7 @@ from duality_bench.diagnostics import (
     SQUASH_TOL,
     DualityTrial,
     _FunctionalWorkspace,
+    _gaussian_cover,
     info_monte_carlo,
 )
 from duality_bench.serialize import dumps_json
@@ -63,29 +62,35 @@ def converged_state(model, tolerance=1e-12):
     return state
 
 
+def gaussian_inputs(p, h_fn, q):
+    """The nodes of the +-8 sd cover of 1-D Gaussians p and q, and duality_gap's
+    inputs there: weights, log p, h, and q's values, p and q renormalized."""
+    nodes = _gaussian_cover(p, q)
+    w = trap_weights(nodes)
+    log_p = p.log_values_at(nodes) - np.log(np.sum(w * p.values_at(nodes)))
+    return nodes, (w, log_p, h_fn(nodes), q.values_at(nodes) / np.sum(w * q.values_at(nodes)))
+
+
 class TestDualityGap:
     def test_constant_test_function_gives_kl(self):
         # h == c: log E_p[e^c] = c = E_q[c], so the gap is exactly KL(q||p)
         p = GaussianFactor([0.0], [[1.0]])
         q = GaussianFactor([0.7], [[0.5]])
-        prob = make_continuous_duality_problem(p, lambda x: np.full_like(x, 2.5), q)
-        grid = prob.grid
+        grid, inputs = gaussian_inputs(p, lambda x: np.full_like(x, 2.5), q)
         kl_oracle = kl_quadrature(normal_logpdf(grid, 0.7, 0.5),
                                   normal_logpdf(grid, 0.0, 1.0), grid)
-        assert duality_gap(prob) == pytest.approx(kl_oracle, abs=1e-10)
+        assert duality_gap(*inputs) == pytest.approx(kl_oracle, abs=1e-10)
 
     def test_gaussian_tilt_attains_supremum(self):
         # p = N(0,1), h = -x^2/2: the tilt is exactly N(0, 1/2)
         p = GaussianFactor([0.0], [[1.0]])
         tilt = GaussianFactor([0.0], [[0.5]])
-        prob = make_continuous_duality_problem(p, lambda x: -0.5 * x**2, tilt)
-        assert abs(duality_gap(prob)) <= 1e-8
+        assert abs(duality_gap(*gaussian_inputs(p, lambda x: -0.5 * x**2, tilt)[1])) <= 1e-8
 
     def test_gaussian_identity_candidate_frozen_value(self):
         # quadrature oracle gives 1/2 - 1/2 ln 2 for q = p = N(0,1)
         p = GaussianFactor([0.0], [[1.0]])
-        prob = make_continuous_duality_problem(p, lambda x: -0.5 * x**2, p)
-        gap = duality_gap(prob)
+        gap = duality_gap(*gaussian_inputs(p, lambda x: -0.5 * x**2, p)[1])
         assert gap == pytest.approx(0.5 - 0.5 * np.log(2.0), abs=1e-9)
         assert gap == pytest.approx(0.15342640972002736, abs=1e-9)
 
@@ -95,18 +100,16 @@ class TestDualityGap:
         h = rng.uniform(-2, 2, size=5)
         tilt = p * np.exp(h)
         tilt /= tilt.sum()
-        prob = make_discrete_duality_problem(p, h, tilt)
-        assert abs(duality_gap(prob)) <= 1e-12
-
-    def test_non_integrable_test_function_rejected(self):
-        p = GaussianFactor([0.0], [[1.0]])
-        with pytest.raises(ModelError, match="integrable"):
-            make_continuous_duality_problem(p, lambda x: x**2, p)
+        assert abs(duality_gap(np.ones(5), np.log(p), h, tilt)) <= 1e-12
 
     def test_support_violation_rejected(self):
         with pytest.raises(SupportError):
-            make_discrete_duality_problem([0.5, 0.5, 0.0], [0.0, 0.0, 0.0],
-                                          [0.4, 0.4, 0.2])
+            duality_gap(np.ones(3), [np.log(0.5), np.log(0.5), -np.inf], np.zeros(3),
+                        [0.4, 0.4, 0.2])
+
+    def test_arrays_on_different_supports_rejected(self):
+        with pytest.raises(ValueError, match="one support"):
+            duality_gap(np.ones(3), np.log([0.5, 0.5]), np.zeros(3), [0.4, 0.4, 0.2])
 
     @pytest.mark.parametrize("family", ["gaussian", "discrete"])
     def test_randomized_suite(self, family):
@@ -165,6 +168,25 @@ class TestDualityFunctional:
         value = functional(model, 0, [1], cond)
         bound = float(np.log(model.complement_marginal(0).pmf[1]))
         assert value == pytest.approx(bound, abs=1e-12)
+
+    @pytest.mark.parametrize("model, tol", [
+        (bivariate(0.5), 1e-8),
+        (DiscreteTarget(random_table(np.random.default_rng(3), (3, 4))), 1e-12),
+    ], ids=["gaussian", "discrete"])
+    def test_bound_is_the_duality_formulas_left_side(self, model, tol):
+        # F is E_q[h] - KL(q||p) with p = pi(theta_i), h = log pi(c | theta_i): its
+        # bound log pi(c) minus F{q} is the duality gap, whose left side is a sum
+        # over the block measure against the closed-form bound
+        rng = np.random.default_rng(5)
+        reference = model.reference_point()
+        for i in range(model.decomposition.n_blocks):
+            ws = _FunctionalWorkspace(model, i,
+                                      reference[model.decomposition.complement_indices(i)])
+            candidates = [ws.conditional_values, ws.density_values(model.marginal(i)),
+                          *(ws.density_values(model.random_factor(i, rng)) for _ in range(3))]
+            for qv in candidates:
+                gap = duality_gap(ws.weights, ws.log_marginal, ws.log_cond_at_c, qv)
+                assert abs((ws.log_bound - ws.value(qv)) - gap) <= tol
 
     def test_support_violation(self):
         model = DiscreteTarget([[0.5, 0.5], [0.0, 0.0]])

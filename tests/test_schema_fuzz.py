@@ -33,7 +33,7 @@ MODELS = {
 }
 # values of the wrong JSON type, and numbers at and past the edges
 SMALL = [None, True, "x", [], {}, 0, -1, 1, 0.5]
-HUGE = [2**64, 1e300]
+HUGE = [2**63, 2**64, 1e300]
 # values of the right type that a run may still reject, by field; a grid run
 # tabulates 4097^2 cells, so only the runs that stop before the work take it
 LARGE = {"cavi.path": ["grid"]}
