@@ -13,11 +13,12 @@ update paths share that contract:
 
 The engine takes the path it is given: "auto" takes the target's
 closed-form update and factors (ModelError on a target without them), and
-"grid" tabulates, asking the target only ``is_discrete``. The grids are
-fixed for a run and only the factors' weights change between updates, so a
-grid run evaluates ``TargetModel.log_density`` once, on the tensor grid of all
-blocks' nodes, and each update contracts that table against the other
-factors' weights, one axis at a time and without BLAS. The CAVI objective is a KL because
+"grid" tabulates, asking the target its block layout and measures,
+``is_discrete`` and ``log_density_table``. The grids are fixed for a run and
+only the factors' weights change between updates, so a grid run tabulates the
+log density once, on the tensor grid of all blocks' nodes, and each update
+contracts that table against the other factors' weights, one axis at a time
+and without BLAS. The CAVI objective is a KL because
 ``TargetModel.log_density`` is normalized. The engine is deterministic: there
 is no randomness beyond the initializer, and the default initializers are
 deterministic (exact marginals for Gaussian models, uniform for discrete,
@@ -49,12 +50,9 @@ __all__ = [
 
 # Bound on the grid path's log-joint table (the product of all blocks' grid
 # sizes), which a run holds in memory: two 4097-node blocks fit (4097^2 cells,
-# 134 MB), as do three blocks of up to 322 nodes.
+# 134 MB), as do three blocks of up to 322 nodes. The default log_density_table
+# adds a chunk of rows (core.TABLE_CHUNK_POINTS), the Gaussian's nothing of that size.
 MAX_TABLE_CELLS = 2**25
-# Points per log_density call while the table fills. The call's temporaries,
-# a few arrays of that many rows, come on top of the table; the values of a
-# row do not depend on the chunk.
-TABLE_CHUNK_POINTS = 2**20
 
 
 @dataclass(frozen=True)
@@ -118,25 +116,8 @@ def check_grid_path(model: TargetModel, factors=None) -> list[np.ndarray]:
 
 
 def _log_joint_table(model: TargetModel, factors) -> np.ndarray:
-    """log_density on the tensor grid of the factors' nodes, axis j on block
-    j's grid, evaluated once in calls of at most TABLE_CHUNK_POINTS points (or
-    one row of block 0, if that is more)."""
-    grids = check_grid_path(model, factors)
-    dec = model.decomposition
-    shape = tuple(g.size for g in grids)
-    rest_points = np.stack(
-        [g.reshape(-1) for g in np.meshgrid(*grids[1:], indexing="ij")], axis=1)
-    n_rest = rest_points.shape[0]
-    table = np.empty(shape)
-    chunk = max(1, TABLE_CHUNK_POINTS // n_rest)
-    for start in range(0, shape[0], chunk):
-        xs = grids[0][start:start + chunk]
-        pts = np.empty((xs.size, n_rest, dec.total_dim))
-        pts[:, :, dec.block_offsets[0]] = xs[:, None]
-        pts[:, :, list(dec.block_offsets[1:])] = rest_points
-        lj = np.asarray(model.log_density(pts.reshape(-1, dec.total_dim)), dtype=float)
-        table[start:start + xs.size] = lj.reshape(xs.size, *shape[1:])
-    return table
+    """log_density on the tensor grid of the factors' nodes, axis j on block j's."""
+    return model.log_density_table(check_grid_path(model, factors))
 
 
 def _expected_log_joint(table: np.ndarray, factors, i: int) -> np.ndarray:

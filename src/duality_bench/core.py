@@ -10,7 +10,8 @@ runs. A family supplies the densities the duality checks are stated over,
 each as one primitive:
 
 - ``log_density``: the normalized log posterior, at a point or at each row
-  of a sample array;
+  of a sample array, and ``log_density_table``: the same on a tensor grid
+  (the grid CAVI path's table), by default filled from ``log_density``;
 - ``scan``: a whole systematic-scan Gibbs chain, run from a start on noise
   drawn up front;
 - ``block_measure``: nodes and weights for one block (trapezoid weights on a
@@ -51,6 +52,10 @@ __all__ = [
     "TargetModel",
     "make_decomposition",
 ]
+
+# Rows per log_density call of the default log_density_table, whose temporaries
+# come on top of the table; a row's values do not depend on the chunk.
+TABLE_CHUNK_POINTS = 2**20
 
 
 @dataclass(frozen=True)
@@ -143,7 +148,8 @@ class TargetModel(ABC):
 
     Implementations must be immutable and their evaluations pure, so shared
     read-only use from multiple threads is safe. Only the abstract members
-    are needed for Gibbs sampling and grid-tabulated CAVI; closed-form CAVI
+    are needed for Gibbs sampling and grid-tabulated CAVI (through the
+    default ``log_density_table``); closed-form CAVI
     and the diagnostics need the closed-form primitives below, which raise
     :class:`ModelError` on a family that has none.
     """
@@ -161,6 +167,26 @@ class TargetModel(ABC):
         """Normalized log posterior: a float at a point (D,), an array at the
         rows of (n, D); -inf where the posterior has no mass, ValueError at a
         point outside the declared support."""
+
+    def log_density_table(self, grids) -> np.ndarray:
+        """``log_density`` on the tensor grid of 1-D node arrays, one per
+        coordinate, axis k on ``grids[k]``; by default from calls of at most
+        TABLE_CHUNK_POINTS rows (or one row of axis 0, if that is more). A
+        subclass overriding ``log_density`` overrides this too."""
+        shape = tuple(g.size for g in grids)
+        rest_points = np.stack(
+            [g.reshape(-1) for g in np.meshgrid(*grids[1:], indexing="ij")], axis=1)
+        n_rest = rest_points.shape[0]
+        table = np.empty(shape)
+        chunk = max(1, TABLE_CHUNK_POINTS // n_rest)
+        for start in range(0, shape[0], chunk):
+            xs = grids[0][start:start + chunk]
+            pts = np.empty((xs.size, n_rest, len(grids)))
+            pts[:, :, 0] = xs[:, None]
+            pts[:, :, 1:] = rest_points
+            lj = np.asarray(self.log_density(pts.reshape(-1, len(grids))), dtype=float)
+            table[start:start + xs.size] = lj.reshape(xs.size, *shape[1:])
+        return table
 
     @abstractmethod
     def full_conditional(self, i: int, complement_values):

@@ -133,10 +133,34 @@ class GaussianFactor(Factor):
         pts = np.atleast_2d(x if x.ndim else x.reshape(1))
         if pts.shape[-1] != self.dim:
             raise ValueError(f"points have dim {pts.shape[-1]}, factor has dim {self.dim}")
-        z = _substitute(self._chol, pts - self.mean)
-        quad = np.einsum("ij,ij->i", z, z)
-        out = -0.5 * (self.dim * _LOG_2PI + self._log_det + quad)
+        out = self._log_pdf([pts[:, k] - m for k, m in enumerate(self.mean)])
         return float(out[0]) if single else out
+
+    def log_density_table(self, grids) -> np.ndarray:
+        """Log pdf on the tensor grid of 1-D node arrays, axis k on ``grids[k]``:
+        bit for bit ``log_density`` at each grid point."""
+        if len(grids) != self.dim:
+            raise ValueError(f"{len(grids)} grids, factor has dim {self.dim}")
+        deltas = [np.asarray(g, dtype=float) - m for g, m in zip(grids, self.mean)]
+        return self._log_pdf([d.reshape((-1,) + (1,) * (self.dim - 1 - k))
+                              for k, d in enumerate(deltas)])
+
+    def _log_pdf(self, deltas: list) -> np.ndarray:
+        """Log pdf from offsets x_k - mean_k that broadcast together (columns of
+        points, or grids on their own axes): z_k = (delta_k - sum_j<k z_j L_kj)
+        / L_kk, each sum in index order, so a point's bits do not depend on the
+        shapes. Overwrites the list; the last z becomes the result in place."""
+        lower = self._chol
+        for k in range(self.dim):
+            if k:
+                deltas[k] = deltas[k] - sum(deltas[j] * lower[k, j] for j in range(k))
+            deltas[k] *= 1.0 / lower[k, k]
+        quad = deltas.pop()
+        quad *= quad
+        quad += sum(z * z for z in deltas)
+        quad += self.dim * _LOG_2PI + self._log_det
+        quad *= -0.5
+        return quad
 
     def log_values_at(self, nodes) -> np.ndarray:
         return np.asarray(self.log_density(np.asarray(nodes, dtype=float).reshape(-1, 1)))
@@ -282,6 +306,10 @@ class GaussianTarget(TargetModel):
         """Normalized log posterior; accepts (D,) or (n, D)."""
         return self._joint.log_density(theta)
 
+    def log_density_table(self, grids) -> np.ndarray:
+        """Coordinate by coordinate on the grids' own axes (``GaussianFactor``)."""
+        return self._joint.log_density_table(grids)
+
     def full_conditional(self, i: int, complement_values) -> GaussianFactor:
         """N(mu_i - Lambda_ii^{-1} Lambda_ic (x_c - mu_c), Lambda_ii^{-1})."""
         blk = self._blocks[self._decomposition.check_index(i)]
@@ -371,13 +399,11 @@ class GaussianTarget(TargetModel):
     def _info_quadrature(self, i: int) -> InfoEquality:
         g1 = gaussian_grid(self._mean[0], np.sqrt(self._cov[0, 0]), GRID_POINTS_2D)
         g2 = gaussian_grid(self._mean[1], np.sqrt(self._cov[1, 1]), GRID_POINTS_2D)
-        grids = (g1, g2) if i == 0 else (g2, g1)
-        w2 = tensor_weights(*grids)
-        pts = np.stack([m.reshape(-1) for m in np.meshgrid(*grids, indexing="ij")], axis=1)
-        if i == 1:
-            pts = pts[:, ::-1]
-        log_joint = np.asarray(self.log_density(pts)).reshape(w2.shape)
-        x_i, x_c = grids
+        x_i, x_c = (g1, g2) if i == 0 else (g2, g1)
+        w2 = tensor_weights(x_i, x_c)
+        log_joint = self.log_density_table((g1, g2))
+        if i == 1:   # C order, so the sums below keep their order
+            log_joint = log_joint.T.copy()
         log_m_i = np.asarray(self.marginal(i).log_density(x_i.reshape(-1, 1)))
         log_m_c = np.asarray(self.complement_marginal(i).log_density(x_c.reshape(-1, 1)))
         joint = np.exp(log_joint)

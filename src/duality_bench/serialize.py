@@ -98,7 +98,7 @@ def write_trace_csv(path, header: list[str], first_cycle: int, samples: np.ndarr
         raise ValueError(f"non-finite value {bad!r} cannot be serialized")
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerow(header)
-    row = "{}" + ",{:.17g}" * samples.shape[1] + "\n"
-    buf.write("".join(row.format(first_cycle + r, *values)
+    row = "%d" + ",%.17g" * samples.shape[1] + "\n"
+    buf.write("".join(row % (first_cycle + r, *values)
                       for r, values in enumerate(samples.tolist())))
     Path(path).write_bytes(buf.getvalue().encode("utf-8"))

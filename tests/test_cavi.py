@@ -14,6 +14,7 @@ from duality_bench import (
     GaussianTarget,
     GridFactor,
     ModelError,
+    TargetModel,
     cavi_update,
     kl_objective,
     make_decomposition,
@@ -295,20 +296,45 @@ def grid_start(model, n=65):
     return init
 
 
-def grid_run(model, n=65):
-    """A grid run from ``grid_start(model, n)``."""
-    return run_cavi(model, CaviConfig(max_cycles=60, tolerance=1e-10, path="grid"),
+def grid_run(model, n=65, target=None):
+    """A grid run on ``target`` (by default ``model``) from ``grid_start(model, n)``."""
+    return run_cavi(model if target is None else target,
+                    CaviConfig(max_cycles=60, tolerance=1e-10, path="grid"),
                     init_factors=grid_start(model, n))
 
 
+class RowsOnly(TargetModel):
+    """Forwards only the abstract members of ``inner``, so the grid path fills
+    its table from rows of ``log_density`` (the default ``log_density_table``)."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    decomposition = property(lambda self: self.inner.decomposition)
+    is_discrete = property(lambda self: self.inner.is_discrete)
+
+    def log_density(self, theta):
+        return self.inner.log_density(theta)
+
+    def full_conditional(self, i, complement_values):
+        return self.inner.full_conditional(i, complement_values)
+
+    def scan(self, theta, noise, burn_in):
+        return self.inner.scan(theta, noise, burn_in)
+
+    def block_measure(self, *args):
+        return self.inner.block_measure(*args)
+
+
 def truncated(block):
-    """bivariate(0.5) with log density -inf where block ``block`` is over 1."""
-    class Truncated(GaussianTarget):
+    """bivariate(0.5) through its abstract members, with log density -inf
+    where block ``block`` is over 1."""
+    class Truncated(RowsOnly):
         def log_density(self, theta):
             theta = np.asarray(theta, dtype=float)
             return np.where(theta[:, block] > 1.0, -np.inf, super().log_density(theta))
 
-    return Truncated([0, 0], [[1, 0.5], [0.5, 1]], make_decomposition([1, 1]))
+    return Truncated(bivariate(0.5))
 
 
 class TestGridTable:
@@ -321,14 +347,16 @@ class TestGridTable:
     ], ids=["K2-257", "K2-65", "K3-65", "K2-257-chunked", "K3-65-chunked"])
     def test_run_matches_per_update_evaluation_bit_for_bit(self, model, n, chunked,
                                                            monkeypatch):
-        import duality_bench.cavi as cavi
+        import duality_bench.core as core
 
+        target = model
         if chunked:
-            # the table is filled two rows at a time
+            # the default fill, two rows of block 0 at a time
             complement = n ** (model.decomposition.n_blocks - 1)
-            monkeypatch.setattr(cavi, "TABLE_CHUNK_POINTS", 2 * complement)
+            monkeypatch.setattr(core, "TABLE_CHUNK_POINTS", 2 * complement)
+            target = RowsOnly(model)
         init = grid_start(model, n)
-        state = grid_run(model, n)
+        state = grid_run(model, n, target)
         values, history = reference_grid_run(
             model, [f.grid for f in init], [f.values for f in init], 60, 1e-10)
         assert state.cycles >= 2
@@ -337,17 +365,17 @@ class TestGridTable:
 
     @pytest.mark.parametrize("model", [bivariate(0.5), three_blocks()], ids=["K2", "K3"])
     def test_one_run_evaluates_each_table_cell_once(self, model, monkeypatch):
-        rows = []
-        evaluate = model.log_density
-
-        def counting(theta):
-            rows.append(len(theta))
-            return evaluate(theta)
-
-        monkeypatch.setattr(model, "log_density", counting)
-        state = grid_run(model)
-        assert state.cycles >= 2
+        rows, tables = [], []
+        bare = RowsOnly(model)
+        monkeypatch.setattr(bare, "log_density",
+                            lambda theta: rows.append(len(theta)) or model.log_density(theta))
+        assert grid_run(model, target=bare).cycles >= 2
         assert sum(rows) == 65 ** model.decomposition.n_blocks
+        tabulate = model.log_density_table
+        monkeypatch.setattr(model, "log_density_table",
+                            lambda grids: tables.append(len(grids)) or tabulate(grids))
+        assert grid_run(model).cycles >= 2
+        assert tables == [model.decomposition.n_blocks]
 
     def test_a_table_over_the_bound_raises_before_any_row(self, monkeypatch):
         from duality_bench.cavi import MAX_TABLE_CELLS
@@ -355,6 +383,7 @@ class TestGridTable:
         model = bivariate(0.5)
         rows = []
         monkeypatch.setattr(model, "log_density", rows.append)
+        monkeypatch.setattr(model, "log_density_table", rows.append)
         # the reference 4097-node grids fit; two 8193-node grids do not
         assert 4097**2 <= MAX_TABLE_CELLS < 8193**2
         g = np.linspace(-8.0, 8.0, 8193)
@@ -377,14 +406,14 @@ class TestGridTable:
     def test_zero_density_on_positive_mass_raises(self):
         model = truncated(0)
         with pytest.raises(ModelError, match="block 0 update: log of zero density"):
-            run_cavi(model, CaviConfig(path="grid"), grid_start(model))
+            run_cavi(model, CaviConfig(path="grid"), grid_start(model.inner))
 
     def test_zero_density_on_massless_cells_raises(self):
         # -inf times block 1's zero mass beyond the cut is NaN in block 0's
         # expectation: a ModelError naming the massless cells, not a ValueError
         # from the factor
         model = truncated(1)
-        start = grid_start(model)
+        start = grid_start(model.inner)
         g = start[1].grid
         start[1] = GridFactor(g, np.where(g > 1.0, 0.0, np.exp(-0.5 * g**2)))
         match = "block 0 update: the log density is -inf on cells where the other factors have zero mass"

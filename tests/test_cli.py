@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import textwrap
 import warnings
 from pathlib import Path
 
@@ -278,6 +279,31 @@ class TestRunCavi:
             subprocess.run([sys.executable, "-m", "duality_bench.cli", "run-cavi",
                             "--config", str(cfg), "--out", str(out)], check=True, env=env)
             states.append((out / "state.json").read_bytes())
+        assert states[0] == states[1]
+
+    def test_three_block_grid_state_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        # run-cavi's 4097-node grids are over the table bound at K = 3, so the
+        # run goes through the library on 129-node grids, as the CLI writes it
+        script = textwrap.dedent("""
+            import sys
+            import numpy as np
+            from duality_bench import (CaviConfig, GaussianTarget, GridFactor,
+                                       make_decomposition, run_cavi)
+            from duality_bench.cavi import state_to_jsonable
+            from duality_bench.serialize import write_json
+            model = GaussianTarget([0.2, -0.5, 1.0], [[1.0, 0.4, 0.2], [0.4, 2.0, -0.3],
+                                   [0.2, -0.3, 0.5]], make_decomposition([1, 1, 1]))
+            grids = [model.block_measure(i, 129)[0] for i in range(3)]
+            state = run_cavi(model, CaviConfig(max_cycles=10, path="grid"),
+                             [GridFactor(g, np.exp(-0.5 * g**2)) for g in grids])
+            write_json(sys.argv[1], state_to_jsonable(state))
+        """)
+        states = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"state-{threads}.json"
+            env = {**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": threads}
+            subprocess.run([sys.executable, "-c", script, str(out)], check=True, env=env)
+            states.append(out.read_bytes())
         assert states[0] == states[1]
 
 

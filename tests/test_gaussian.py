@@ -6,6 +6,8 @@ implemented independently in oracles.py.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from duality_bench import GaussianFactor, GaussianTarget, ModelError, make_decomposition, make_rng
 from duality_bench.gaussian import kl_divergence, mutual_information
@@ -268,3 +270,26 @@ class TestConsistencyInvariants:
                            + t.complement_marginal(i)
                            .log_density(complement.reshape(1, -1))[0])
                     assert lhs == pytest.approx(rhs, abs=1e-10)
+
+
+@st.composite
+def tabulated_models(draw):
+    """(mean, covariance, grids): D from 2 to 4 coordinates, covariance
+    A A^T + 0.3 I, and 1 to 9 nodes per axis."""
+    d = draw(st.integers(2, 4))
+    a = draw(arrays(float, (d, d), elements=st.floats(-2.0, 2.0)))
+    mean = draw(arrays(float, d, elements=st.floats(-10.0, 10.0)))
+    grids = [draw(arrays(float, draw(st.integers(1, 9)), elements=st.floats(-20.0, 20.0)))
+             for _ in range(d)]
+    return mean, a @ a.T + 0.3 * np.eye(d), grids
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(spec=tabulated_models())
+def test_log_density_table_is_log_density_at_the_grid_rows_bit_for_bit(spec):
+    mean, cov, grids = spec
+    model = GaussianTarget(mean, cov, make_decomposition([1] * len(grids)))
+    rows = np.stack([m.reshape(-1) for m in np.meshgrid(*grids, indexing="ij")], axis=1)
+    table = model.log_density_table(grids)
+    assert table.shape == tuple(g.size for g in grids)
+    assert table.tobytes() == model.log_density(rows).tobytes()
