@@ -28,6 +28,7 @@ __all__ = ["DiscreteFactor", "DiscreteTarget"]
 MAX_BLOCKS = 4
 MAX_SUPPORT = 16
 INPUT_MASS_TOL = 1e-9
+SCAN_CHUNK_ROWS = 256  # noise rows a table scan holds as Python floats at once, to bound its memory
 
 
 def _xlogy(p: np.ndarray, logq: np.ndarray) -> np.ndarray:
@@ -116,8 +117,9 @@ class DiscreteFactor(Factor):
         return float(out[0]) if out.size == 1 and np.ndim(x) <= 1 else out
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
-        """An inverse-CDF draw, the one ``DiscreteTarget.scan`` makes from a
-        cached row (the CDF is formed here: most factors are never drawn from)."""
+        """An inverse-CDF draw by one uniform, equal to the ``bisect_right``
+        that ``DiscreteTarget.scan`` runs on the CDF list of the cached row
+        (the CDF is formed here: most factors are never drawn from)."""
         u = rng.random()
         return np.array([float(np.searchsorted(_cdf(self.pmf), u, side="right"))])
 
@@ -199,25 +201,38 @@ class DiscreteTarget(TargetModel):
         return DiscreteFactor._trusted(c["probs"][flat])
 
     def scan(self, theta: np.ndarray, noise: np.ndarray, burn_in: int) -> np.ndarray:
-        """Each cycle overwrites the blocks of ``theta`` in order, each by an
-        inverse-CDF draw from the cached conditional row of the complement
-        state with its one uniform ``u[i]``, as ``DiscreteFactor.sample``."""
-        # Rows keyed by integer complement state; float keys hash alike.
-        rows = [{state: cum.tolist()
-                 for state, mass, cum in zip(np.ndindex(self._complement_shape(i)),
-                                             c["mass"], c["cumsum"]) if mass > 0}
-                for i, c in enumerate(self._cond)]
-        samples = np.empty((noise.shape[0] - burn_in, theta.size))
-        for cycle, u in enumerate(noise):
-            for i, cached in enumerate(rows):
-                state = theta.tolist()
-                del state[i]
-                cumsum = cached.get(tuple(state))
-                if cumsum is None:  # off the support or zero mass: full_conditional raises
-                    cumsum = _cdf(self.full_conditional(i, state).pmf).tolist()
-                theta[i] = bisect_right(cumsum, u[i])
-            if cycle >= burn_in:
-                samples[cycle - burn_in] = theta
+        """Each cycle redraws the blocks in order by inverse-CDF draws from the
+        cached conditional rows, each with its one uniform ``u[i]``, as
+        ``DiscreteFactor.sample``; a start off the cells of the support raises
+        ValueError before any draw. The state is one running flat C-order index
+        into a list per block, whose entry is the CDF list of the state's
+        complement row (one list object per complement), or None without mass."""
+        shape = self._table.shape
+        state = _state_indices(theta.reshape(1, -1), shape)[0].tolist()
+        cells = np.indices(shape).reshape(len(shape), -1)
+        blocks = []
+        for i, c in enumerate(self._cond):
+            rows = np.fromiter((cum if mass > 0 else None
+                                for cum, mass in zip(c["cumsum"].tolist(), c["mass"].tolist())),
+                               dtype=object, count=c["mass"].size)
+            comp = np.ravel_multi_index(np.delete(cells, i, axis=0), self._complement_shape(i))
+            blocks.append((i, rows[comp].tolist(), int(np.prod(shape[i + 1:]))))
+        flat, n = int(np.ravel_multi_index(state, shape)), noise.shape[0]
+        samples = np.empty((n - burn_in, len(shape)))
+        for a in range(0, n, SCAN_CHUNK_ROWS):
+            drawn = []
+            for u in noise[a:a + SCAN_CHUNK_ROWS].tolist():
+                for i, table, stride in blocks:
+                    cdf = table[flat]
+                    if cdf is None:  # zero mass: full_conditional raises, naming the state
+                        self.full_conditional(i, state[:i] + state[i + 1:])
+                    x = bisect_right(cdf, u[i])
+                    flat += (x - state[i]) * stride
+                    state[i] = x
+                drawn += state
+            lo, b = max(a, burn_in), min(a + SCAN_CHUNK_ROWS, n)
+            if lo < b:
+                samples[lo - burn_in:b - burn_in] = np.reshape(drawn, (-1, len(shape)))[lo - a:]
         return samples
 
     def _complement_shape(self, i: int) -> tuple[int, ...]:

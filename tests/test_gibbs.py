@@ -21,6 +21,7 @@ from duality_bench import (
     run_chain,
     run_chains,
 )
+from duality_bench.discrete import SCAN_CHUNK_ROWS
 
 from oracles import random_spd, random_table, reference_scan, scan_bound
 
@@ -306,6 +307,53 @@ class TestBlockSamplers:
         with pytest.raises(ValueError):
             run_chain(DiscreteTarget(TABLE),
                       GibbsConfig(n_cycles=10, burn_in=0, seed=0, init=np.array(start)))
+
+    @pytest.mark.parametrize("start, match", [
+        ([99.0, 1.0], r"state \[99.0, 1.0\] outside support"),
+        ([1.0, -1.0], r"state \[1.0, -1.0\] outside support"),
+        ([0.5, 1.0], r"state \[0.5, 1.0\] is not integer-valued"),
+    ])
+    def test_direct_scan_rejects_a_start_off_the_cells_before_any_draw(self, start, match):
+        # Block 0's own start value is never drawn from, but it places the
+        # scan's running joint-state index, so it must be a cell too.
+        class Unread(np.ndarray):
+            def __getitem__(self, key):
+                raise AssertionError("noise read before the start was checked")
+
+        with pytest.raises(ValueError, match=match):
+            DiscreteTarget(TABLE).scan(np.array(start), np.zeros((10, 2)).view(Unread), 0)
+
+
+@st.composite
+def sparse_tables(draw):
+    """(table, start): K from 2 to 4 blocks of 2 to 5 states, a random table
+    with some cells zeroed, and a start on a cell of positive mass."""
+    sizes = tuple(draw(st.lists(st.integers(2, 5), min_size=2, max_size=4)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    table = random_table(rng, sizes)
+    table[rng.random(sizes) < draw(st.sampled_from([0.0, 0.3, 0.6]))] = 0.0
+    if not table.any():
+        table.flat[0] = 1.0
+    cells = np.argwhere(table > 0)
+    return table / table.sum(), cells[rng.integers(len(cells))].astype(float)
+
+
+# Cycle counts and burn-ins below, on and across the scan's chunk boundaries.
+CHUNK_EDGES = [1, SCAN_CHUNK_ROWS - 1, SCAN_CHUNK_ROWS, SCAN_CHUNK_ROWS + 1, 2 * SCAN_CHUNK_ROWS + 1]
+
+
+@settings(derandomize=True, max_examples=80, deadline=None, database=None)
+@given(spec=sparse_tables(),
+       n_cycles=st.one_of(st.sampled_from(CHUNK_EDGES), st.integers(1, 2 * SCAN_CHUNK_ROWS + 1)),
+       burn_in=st.one_of(st.sampled_from([0] + CHUNK_EDGES), st.integers(0, 2 * SCAN_CHUNK_ROWS)),
+       seed=st.integers(0, 2**32 - 1))
+def test_random_sparse_table_scan_equals_the_reference_scan(spec, n_cycles, burn_in, seed):
+    table, start = spec
+    model = DiscreteTarget(table)
+    burn_in = min(burn_in, n_cycles - 1)
+    rows = model.scan(start.copy(), make_rng(seed).random((n_cycles, table.ndim)), burn_in)
+    reference = reference_scan(model, start, make_rng(seed), n_cycles)
+    assert rows.tobytes() == reference[burn_in:].tobytes()
 
 
 def scalar_draw_model(k):
