@@ -26,8 +26,9 @@ each as one primitive:
   and the information quantities, each by the family's own route;
 - ``cavi_update`` and ``initial_factors``: closed-form coordinate updates
   and starting factors, the CAVI engine's ``"auto"`` path;
-- ``random_factor``, ``reference_point`` and ``echo``: candidate factors,
-  the default complement point and the report's model description.
+- ``random_values``, ``reference_point`` and ``echo``: random candidate
+  densities as rows of values on the block measure, the default complement
+  point and the report's model description.
 
 The factors these primitives take and return implement the block-density
 contract :class:`duality_bench.quadrature.Factor`.
@@ -256,9 +257,11 @@ class TargetModel(ABC):
         """Starting factors of the family for the named CAVI strategy."""
         raise self._no_closed_form("starting factors")
 
-    def random_factor(self, i: int, rng: np.random.Generator):
-        """A random candidate density for block i."""
-        raise self._no_closed_form("candidate factors")
+    def random_values(self, i: int, rng: np.random.Generator, n: int) -> np.ndarray:
+        """n random candidate densities for block i, as an (n, nodes) array of
+        their values at the nodes of ``block_measure(i)``, each row renormalized
+        on that measure; n then m rows draw what n + m rows draw at once."""
+        raise self._no_closed_form("candidate densities")
 
     def reference_point(self) -> np.ndarray:
         """Default parameter vector whose complements the functional is probed at."""

@@ -37,6 +37,7 @@ from duality_bench.quadrature import (
     GRID_POINTS_1D,
     HALF_WIDTH_SIGMAS,
     logsumexp,
+    normalized_on,
     trapezoid_weights,
 )
 
@@ -62,6 +63,11 @@ GAP_TOL = 1e-10
 ATTAINMENT_TOL = 1e-8
 SQUASH_TOL = 1e-10
 SQUASH_GRID_POINTS = 1001
+# Node values per chunk of the functional suite: a block's candidates, and its
+# mixtures' p and q rows together, are drawn and evaluated 2**15 // nodes rows
+# at a time (at least one candidate or mixture), to bound the suite's memory; a
+# row's value does not depend on its chunk.
+SUITE_CHUNK_VALUES = 2**15
 
 
 @dataclass(frozen=True)
@@ -102,26 +108,31 @@ def _gaussian_cover(*factors) -> np.ndarray:
 
 
 def _mass(weights: np.ndarray, values: np.ndarray) -> float:
-    """The mass of a density's values at a measure's nodes, by which this module
-    renormalizes densities on the measure; ModelError unless it is positive."""
+    """The mass of a density's values at a measure's nodes, by which the duality
+    suite renormalizes p, q and the tilt; ModelError unless it is positive."""
     mass = float(np.sum(weights * values))
     if mass <= 0:
         raise ModelError("density has zero mass on the measure")
     return mass
 
 
-def _dual_objective(weights, log_p, h, q_values) -> float:
+def _dual_objective(weights, log_p, h, q_values):
     """E_q[h] - KL(q||p) on a measure, for its weights, log p and h at its nodes
-    and q's values there, renormalized on it."""
+    and q's values there, renormalized on it: a float for one row of values,
+    an array over the leading axes of rows. Each sum runs over the nodes where
+    q has mass, in node order."""
     mass = weights * q_values
     support = mass > 0
     if np.any(support & np.isneginf(log_p)):
         raise SupportError("candidate has mass outside the base support")
-    e_term = float(np.sum(mass[support] * h[support]))
-    with np.errstate(divide="ignore"):
-        log_q = np.log(q_values[support])
-    kl_term = float(np.sum(mass[support] * (log_q - log_p[support])))
-    return e_term - kl_term
+    with np.errstate(divide="ignore", invalid="ignore"):
+        e_term = np.sum(mass * h, axis=-1, where=support)
+        kl_terms = np.log(q_values)
+        kl_terms -= log_p
+        kl_terms *= mass
+        kl_term = np.sum(kl_terms, axis=-1, where=support)
+    objective = e_term - kl_term
+    return float(objective) if objective.ndim == 0 else objective
 
 
 def duality_gap(weights, log_p, h, q_values) -> float:
@@ -234,28 +245,38 @@ class _FunctionalWorkspace:
 
     def density_values(self, q) -> np.ndarray:
         """Values of the factor q at the block nodes, renormalized on the measure."""
-        values = q.values_at(self.grid)
-        return values / _mass(self.weights, values)
+        return normalized_on(self.weights, q.values_at(self.grid))
 
-    def value(self, q_values: np.ndarray) -> float:
+    # Each method below takes one row of values at the block nodes, or rows
+    # along leading axes, and gives a float or an array over those axes; a
+    # row's result does not depend on the rows beside it.
+
+    def value(self, q_values: np.ndarray):
         """F{q} for q's values at the block nodes: the dual objective with base
         the block marginal and h = log pi(c | .); at most ``log_bound``, with
         equality only at the full conditional, the tilt."""
         return _dual_objective(self.weights, self.log_marginal, self.log_cond_at_c, q_values)
 
-    def tv_from_conditional(self, q_values: np.ndarray) -> float:
-        return 0.5 * float(np.sum(self.weights * np.abs(
-            q_values - self.conditional_values)))
+    def tv_from_conditional(self, q_values: np.ndarray):
+        distance = np.abs(q_values - self.conditional_values)
+        distance *= self.weights
+        tv = 0.5 * np.sum(distance, axis=-1)
+        return float(tv) if tv.ndim == 0 else tv
 
-    def concavity_slack(self, pv: np.ndarray, qv: np.ndarray, a: float) -> float:
-        """F(a p + (1-a) q) - [a F(p) + (1-a) F(q)] for density values pv, qv."""
-        if not 0.0 <= a <= 1.0:
+    def concavity_slack(self, pv: np.ndarray, qv: np.ndarray, a):
+        """F(a p + (1-a) q) - [a F(p) + (1-a) F(q)] for density values pv, qv
+        and a weight a in [0, 1] per row."""
+        a = np.asarray(a, dtype=float)
+        if not np.all((0.0 <= a) & (a <= 1.0)):
             raise ValueError("mixture weight must lie in [0, 1]")
-        mix = a * pv + (1.0 - a) * qv
-        mass = float(np.sum(self.weights * mix))
-        if abs(mass - 1.0) > 1e-10:
-            raise ModelError(f"mixture mass {mass!r} deviates from 1 beyond 1e-10")
-        return self.value(mix) - (a * self.value(pv) + (1.0 - a) * self.value(qv))
+        mix = a[..., None] * pv
+        mix += (1.0 - a[..., None]) * qv
+        mass = np.sum(self.weights * mix, axis=-1)
+        off = np.abs(mass - 1.0) > 1e-10
+        if np.any(off):
+            raise ModelError(f"mixture mass {float(mass[off][0])!r} deviates from 1 beyond 1e-10")
+        slack = self.value(mix) - (a * self.value(pv) + (1.0 - a) * self.value(qv))
+        return float(slack) if slack.ndim == 0 else slack
 
 
 def concavity_probe(model: TargetModel, i: int, complement_value, p, q,
@@ -281,10 +302,14 @@ def information_equality_check(model: TargetModel, i: int,
 def info_monte_carlo(model: TargetModel, trace: ChainTrace, i: int) -> dict[str, Estimate]:
     """Monte Carlo estimates of I, H(theta_-i), H(theta_-i|theta_i) from a
     Gibbs trace, with batch-means standard errors."""
-    dec = model.decomposition
-    if trace.samples.shape[1] != dec.total_dim:
+    if trace.samples.shape[1] != model.decomposition.total_dim:
         raise ModelError("trace and model disagree on the parameter dimension")
-    log_joint = np.asarray(model.log_density(trace.samples))
+    return _info_monte_carlo(model, trace, i, np.asarray(model.log_density(trace.samples)))
+
+
+def _info_monte_carlo(model: TargetModel, trace: ChainTrace, i: int,
+                      log_joint: np.ndarray) -> dict[str, Estimate]:
+    """``info_monte_carlo`` given the log density at every trace row."""
     log_m_i, log_m_c = model.log_marginals(i, trace.samples)
     mi_values = log_joint - log_m_i - log_m_c
     h_c_values = -log_m_c
@@ -332,6 +357,12 @@ def squash_pointwise_check(model: TargetModel, state: MeanFieldState, i: int,
     r_value = squashing_constant(model, state, i)
     if grid is None:
         grid = model.block_measure(i, SQUASH_GRID_POINTS)[0]
+    return _squash_slack(model, state, i, grid, r_value)
+
+
+def _squash_slack(model: TargetModel, state: MeanFieldState, i: int, grid,
+                  r_value: float) -> float:
+    """``squash_pointwise_check`` given block i's squashing constant R."""
     grid = np.asarray(grid, dtype=float)
     marg = model.marginal(i).values_at(grid)
     return float(np.min(marg - r_value * state.factors[i].values_at(grid)))
@@ -434,6 +465,8 @@ def build_report(model: TargetModel, trace: ChainTrace, state: MeanFieldState,
     The randomized candidate/mixture suites are driven by a Philox generator
     keyed with ``options.suite_seed``; the seed is echoed in the report, so
     the whole report is a pure function of (model, trace, state, options).
+    Per block, the generator draws the candidates, then every mixture weight,
+    then the mixtures' p and q rows interleaved.
     """
     options = options or ReportOptions()
     dec = model.decomposition
@@ -445,6 +478,11 @@ def build_report(model: TargetModel, trace: ChainTrace, state: MeanFieldState,
     info_tol = 1e-12 if model.is_discrete else 1e-8
     rng = make_rng(options.suite_seed)
     reference = model.reference_point()
+    # one log density of the trace serves every block's estimates; it is
+    # dropped before the suites, which do not need it
+    log_joint = np.asarray(model.log_density(trace.samples))
+    monte_carlo = [_info_monte_carlo(model, trace, i, log_joint) for i in range(dec.n_blocks)]
+    del log_joint
     blocks: list[BlockDiagnostics] = []
     for i in range(dec.n_blocks):
         c_ref = reference[dec.complement_indices(i)]
@@ -452,25 +490,27 @@ def build_report(model: TargetModel, trace: ChainTrace, state: MeanFieldState,
         f_cond = ws.value(ws.conditional_values)
         attainment_err = abs(ws.log_bound - f_cond)
         gap_state = ws.log_bound - ws.value(ws.density_values(state.factors[i]))
+        rows = max(1, SUITE_CHUNK_VALUES // ws.grid.size)
         max_excess = -np.inf
         min_distant_gap = np.inf
-        for _ in range(options.f_candidates):
-            qv = ws.density_values(model.random_factor(i, rng))
+        for start in range(0, options.f_candidates, rows):
+            qv = model.random_values(i, rng, min(rows, options.f_candidates - start))
             gap = ws.log_bound - ws.value(qv)
-            max_excess = max(max_excess, -gap)
-            if ws.tv_from_conditional(qv) > 1e-4:   # distant from the conditional
-                min_distant_gap = min(min_distant_gap, gap)
+            max_excess = max(max_excess, float(np.max(-gap)))
+            distant = ws.tv_from_conditional(qv) > 1e-4   # distant from the conditional
+            min_distant_gap = min(min_distant_gap,
+                                  float(np.min(gap, where=distant, initial=np.inf)))
+        mix_weights = rng.uniform(0, 1, size=options.concavity_mixtures)
         min_slack = np.inf
-        for _ in range(options.concavity_mixtures):
-            p_cand = model.random_factor(i, rng)
-            q_cand = model.random_factor(i, rng)
-            a = float(rng.uniform(0, 1))
-            min_slack = min(min_slack, ws.concavity_slack(
-                ws.density_values(p_cand), ws.density_values(q_cand), a))
+        pairs = max(1, rows // 2)   # mixtures per chunk: each draws a p and a q row
+        for start in range(0, mix_weights.size, pairs):
+            a = mix_weights[start:start + pairs]
+            pq = model.random_values(i, rng, 2 * a.size)
+            min_slack = min(min_slack, float(np.min(ws.concavity_slack(pq[0::2], pq[1::2], a))))
         info = information_equality_check(model, i, method=options.info_method)
         r_value = squashing_constant(model, state, i)
-        squash_slack = squash_pointwise_check(
-            model, state, i, grid=model.block_measure(i, options.squash_grid_points)[0])
+        squash_slack = _squash_slack(
+            model, state, i, model.block_measure(i, options.squash_grid_points)[0], r_value)
         bound = kl_lower_bound(model, state, i)
         values = {
             "block": i + 1,
@@ -489,7 +529,7 @@ def build_report(model: TargetModel, trace: ChainTrace, state: MeanFieldState,
             "info_method": info.method,
         }
         mc_checks = []
-        for key, est in info_monte_carlo(model, trace, i).items():
+        for key, est in monte_carlo[i].items():
             prefix = "mi" if key == "mutual_information" else key
             se = est.standard_error
             values[f"{prefix}_mc"], values[f"{prefix}_mc_se"] = est.mean, se

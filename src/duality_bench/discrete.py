@@ -21,7 +21,7 @@ import numpy as np
 
 from duality_bench.core import BlockDecomposition, InfoEquality, TargetModel
 from duality_bench.errors import ModelError, SupportError, ZeroMassError
-from duality_bench.quadrature import GRID_POINTS_1D, Factor, logsumexp
+from duality_bench.quadrature import GRID_POINTS_1D, Factor, logsumexp, normalized_on
 
 __all__ = ["DiscreteFactor", "DiscreteTarget"]
 
@@ -370,9 +370,12 @@ class DiscreteTarget(TargetModel):
 
     # --- candidates and report echo ------------------------------------------
 
-    def random_factor(self, i: int, rng: np.random.Generator) -> DiscreteFactor:
-        """A flat-Dirichlet draw on block i's support."""
-        return DiscreteFactor(rng.dirichlet(np.ones(self._table.shape[i])))
+    def random_values(self, i: int, rng: np.random.Generator, n: int) -> np.ndarray:
+        """n flat-Dirichlet draws on block i's support, each divided by its sum
+        as ``DiscreteFactor`` stores a pmf."""
+        nodes, weights = self.block_measure(i)
+        pmfs = rng.dirichlet(np.ones(nodes.size), size=n)
+        return normalized_on(weights, pmfs / pmfs.sum(axis=1, keepdims=True))
 
     def reference_point(self) -> np.ndarray:
         """The joint mode."""

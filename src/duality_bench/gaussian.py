@@ -25,6 +25,7 @@ from duality_bench.quadrature import (
     GRID_POINTS_2D,
     Factor,
     gaussian_grid,
+    normalized_on,
     tensor_weights,
     trapezoid_weights,
 )
@@ -472,9 +473,19 @@ class GaussianTarget(TargetModel):
 
     # --- candidates and report echo ----------------------------------------
 
-    def random_factor(self, i: int, rng: np.random.Generator) -> GaussianFactor:
-        """Mean uniform in [-2, 2], variance uniform in [0.25, 4] (1-D blocks)."""
-        return GaussianFactor([rng.uniform(-2, 2)], [[rng.uniform(0.25, 4)]])
+    def random_values(self, i: int, rng: np.random.Generator, n: int) -> np.ndarray:
+        """n Gaussians with mean uniform in [-2, 2] and variance uniform in
+        [0.25, 4] (1-D blocks), each drawn as a (mean, variance) pair; the log
+        pdf at the nodes is ``GaussianFactor._log_pdf``'s arithmetic."""
+        nodes, weights = self.block_measure(i)
+        mean, var = rng.uniform([-2, 0.25], [2, 4], size=(n, 2)).T
+        std = np.sqrt(var)[:, None]
+        z = nodes - mean[:, None]
+        z *= 1.0 / std
+        z *= z
+        z += _LOG_2PI + 2.0 * np.log(std)
+        z *= -0.5
+        return normalized_on(weights, np.exp(z, out=z))
 
     def reference_point(self) -> np.ndarray:
         return np.asarray(self._mean, dtype=float)

@@ -21,10 +21,13 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from duality_bench.errors import ModelError
+
 __all__ = [
     "trapezoid_weights",
     "gaussian_grid",
     "tensor_weights",
+    "normalized_on",
     "Factor",
     "GridFactor",
 ]
@@ -66,6 +69,15 @@ def tensor_weights(*grids) -> np.ndarray:
     for g in grids[1:]:
         w = np.multiply.outer(w, trapezoid_weights(g))
     return w
+
+
+def normalized_on(weights, values) -> np.ndarray:
+    """Density values at a measure's nodes, each row (along the last axis)
+    divided by its mass on the measure; ModelError unless every mass is positive."""
+    mass = np.sum(weights * values, axis=-1, keepdims=True)
+    if not np.all(mass > 0):
+        raise ModelError("density has zero mass on the measure")
+    return values / mass
 
 
 def logsumexp(a) -> float:

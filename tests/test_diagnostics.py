@@ -183,7 +183,7 @@ class TestDualityFunctional:
             ws = _FunctionalWorkspace(model, i,
                                       reference[model.decomposition.complement_indices(i)])
             candidates = [ws.conditional_values, ws.density_values(model.marginal(i)),
-                          *(ws.density_values(model.random_factor(i, rng)) for _ in range(3))]
+                          *model.random_values(i, rng, 3)]
             for qv in candidates:
                 gap = duality_gap(ws.weights, ws.log_marginal, ws.log_cond_at_c, qv)
                 assert abs((ws.log_bound - ws.value(qv)) - gap) <= tol
@@ -231,6 +231,136 @@ class TestConcavityProbe:
         p = GaussianFactor([0.0], [[1.0]])
         with pytest.raises(ValueError):
             concavity_probe(model, 0, [0.0], p, p, 1.5)
+
+
+def zero_cell_table():
+    """A 9x3 table with zero cells, every block state of positive mass."""
+    table = random_table(np.random.default_rng(21), (9, 3))
+    table[[1, 4, 4, 6, 8], [0, 0, 2, 1, 0]] = 0.0
+    return DiscreteTarget(table / table.sum())
+
+
+def workspaces(model):
+    """The report's workspace of every block, at the reference point."""
+    reference = model.reference_point()
+    dec = model.decomposition
+    return [_FunctionalWorkspace(model, i, reference[dec.complement_indices(i)])
+            for i in range(dec.n_blocks)]
+
+
+def compacted_value(ws, row):
+    """F{q} summed over the compacted support of one row: the reference that
+    the workspace's in-place masked sums follow."""
+    mass = ws.weights * row
+    s = mass > 0
+    return (float(np.sum(mass[s] * ws.log_cond_at_c[s]))
+            - float(np.sum(mass[s] * (np.log(row[s]) - ws.log_marginal[s]))))
+
+
+def make_rng_pair(seed):
+    """Two generators on one stream."""
+    return np.random.default_rng(seed), np.random.default_rng(seed)
+
+
+BATCH_MODELS = {
+    "gaussian": lambda: bivariate(0.5),
+    "dense-4x4x4": lambda: DiscreteTarget(random_table(np.random.default_rng(2), (4, 4, 4))),
+    "zero-cells-9x3": zero_cell_table,
+}
+
+
+class TestBatchedSuite:
+    @pytest.mark.parametrize("name", sorted(BATCH_MODELS))
+    def test_each_row_of_a_batch_is_its_single_row_call(self, name):
+        model = BATCH_MODELS[name]()
+        rng = np.random.default_rng(8)
+        for i, ws in enumerate(workspaces(model)):
+            rows = model.random_values(i, rng, 12)
+            if model.is_discrete:
+                # holes inside the support: zero where the conditional is, and elsewhere
+                rows = rows * (ws.conditional_values > 0) * (rng.random(rows.shape) > 0.3)
+                rows[:, np.argmax(ws.conditional_values)] += 0.1
+                rows = rows / rows.sum(axis=1, keepdims=True)
+            batch = np.stack([rows, rows[::-1]])   # two leading axes
+            values, tvs = ws.value(batch), ws.tv_from_conditional(batch)
+            a = np.linspace(0, 1, len(rows))
+            slacks = ws.concavity_slack(rows, rows[::-1], a)
+            assert values.shape == tvs.shape == (2, len(rows))
+            for k, row in enumerate(rows):
+                assert values[0, k] == values[1, -1 - k] == ws.value(row)
+                # the same sums when the support is one run of nodes; else within rounding
+                if np.all(np.diff(np.flatnonzero(row > 0)) == 1):
+                    assert values[0, k] == compacted_value(ws, row)
+                else:
+                    assert values[0, k] == pytest.approx(compacted_value(ws, row),
+                                                         rel=1e-14, abs=1e-14)
+                assert tvs[0, k] == tvs[1, -1 - k] == ws.tv_from_conditional(row)
+                assert slacks[k] == ws.concavity_slack(row, rows[-1 - k], a[k])
+            assert isinstance(ws.value(rows[0]), float)
+
+    @pytest.mark.parametrize("name", ["gaussian", "dense-4x4x4"])
+    def test_n_then_m_rows_are_n_plus_m_rows(self, name):
+        model = BATCH_MODELS[name]()
+        for i in range(model.decomposition.n_blocks):
+            one, two = make_rng_pair(5)
+            split = np.concatenate([model.random_values(i, one, 3), model.random_values(i, one, 4)])
+            np.testing.assert_array_equal(split, model.random_values(i, two, 7))
+            assert one.random() == two.random()   # the streams stay in step
+
+    def test_rows_are_the_factors_drawn_one_at_a_time(self):
+        # each row is density_values of the factor drawn from the same stream
+        for model, draw in ((bivariate(0.5), lambda rng: GaussianFactor(
+                                [rng.uniform(-2, 2)], [[rng.uniform(0.25, 4)]])),
+                            (BATCH_MODELS["dense-4x4x4"](),
+                             lambda rng: DiscreteFactor(rng.dirichlet(np.ones(4))))):
+            ws = workspaces(model)[1]
+            one, two = make_rng_pair(3)
+            expected = np.stack([ws.density_values(draw(one)) for _ in range(6)])
+            np.testing.assert_array_equal(model.random_values(1, two, 6), expected)
+
+    @pytest.mark.parametrize("name", ["gaussian", "dense-4x4x4"])
+    def test_report_does_not_depend_on_the_chunk(self, name, monkeypatch):
+        import duality_bench.diagnostics as diagnostics
+
+        model = BATCH_MODELS[name]()
+        trace = run_chain(model, GibbsConfig(n_cycles=2_000, burn_in=100, seed=2))
+        state = converged_state(model, tolerance=1e-13)
+        options = ReportOptions(suite_seed=4, f_candidates=23, concavity_mixtures=17)
+        texts = set()
+        for chunk in (diagnostics.SUITE_CHUNK_VALUES, 1, 2**62):
+            monkeypatch.setattr(diagnostics, "SUITE_CHUNK_VALUES", chunk)
+            texts.add(dumps_json(build_report(model, trace, state, options).to_jsonable()))
+        assert len(texts) == 1
+
+    def test_mixture_mass_off_one_raises_on_a_row_and_in_a_batch(self):
+        ws = workspaces(bivariate(0.5))[0]
+        rows = bivariate(0.5).random_values(0, np.random.default_rng(1), 3)
+        heavy = rows.copy()
+        heavy[1] *= 1.0 + 1e-6
+        with pytest.raises(ModelError, match="mixture mass"):
+            ws.concavity_slack(heavy[1], rows[0], 0.5)
+        with pytest.raises(ModelError, match="mixture mass"):
+            ws.concavity_slack(heavy, rows, np.full(3, 0.5))
+        # with weight 0 the mixture is q alone, whose mass is 1
+        assert np.all(np.isfinite(ws.concavity_slack(heavy, rows, np.zeros(3))))
+
+    @pytest.mark.parametrize("a", [1.5, -0.1, np.nan, [0.5, 1.0 + 1e-12], [np.nan, 0.5]])
+    def test_weight_outside_the_unit_interval_raises(self, a):
+        ws = workspaces(DiscreteTarget(TABLE))[0]
+        rows = np.array([[0.3, 0.7], [0.6, 0.4]])
+        pv, qv = (rows, rows[::-1]) if np.ndim(a) else (rows[0], rows[1])
+        with pytest.raises(ValueError, match="mixture weight"):
+            ws.concavity_slack(pv, qv, a)
+
+    def test_one_row_with_mass_off_the_base_support_fails_the_batch(self):
+        model = DiscreteTarget([[0.5, 0.5], [0.0, 0.0]])
+        ws = _FunctionalWorkspace(model, 0, [0])
+        batch = np.array([[1.0, 0.0], [1.0, 0.0], [0.5, 0.5]])
+        assert np.all(np.isfinite(ws.value(batch[:2])))
+        with pytest.raises(SupportError):
+            ws.value(batch)
+        with pytest.raises(SupportError):
+            ws.concavity_slack(batch, batch[::-1], np.full(3, 0.5))
 
 
 class TestInformationEquality:
