@@ -18,7 +18,8 @@ closed-form update and factors (ModelError on a target without them), and
 only the factors' weights change between updates, so a grid run tabulates the
 log density once, on the tensor grid of all blocks' nodes, and each update
 contracts that table against the other factors' weights, one axis at a time
-and without BLAS. The CAVI objective is a KL because
+and without BLAS: K contractions per cycle, the first of them the starting
+objective's. The CAVI objective is a KL because
 ``TargetModel.log_density`` is normalized. The engine is deterministic: there
 is no randomness beyond the initializer, and the default initializers are
 deterministic (exact marginals for Gaussian models, uniform for discrete,
@@ -50,8 +51,8 @@ __all__ = [
 
 # Bound on the grid path's log-joint table (the product of all blocks' grid
 # sizes), which a run holds in memory: two 4097-node blocks fit (4097^2 cells,
-# 134 MB), as do three blocks of up to 322 nodes. The default log_density_table
-# adds a chunk of rows (core.TABLE_CHUNK_POINTS), the Gaussian's nothing of that size.
+# 134 MB), as do three blocks of up to 322 nodes. Both log_density_table routes
+# add only a cache-sized chunk of rows (core.TABLE_CHUNK_POINTS) of temporaries.
 MAX_TABLE_CELLS = 2**25
 
 
@@ -144,14 +145,13 @@ def _expected_log_joint(table: np.ndarray, factors, i: int) -> np.ndarray:
     return expected
 
 
-def _step(model: TargetModel, factors, i: int, table):
-    """Factor i's coordinate update, with the expectation E_i the grid path
-    built it from: the target's closed form when ``table`` is None (E_i is
-    None), else a contraction of the grid path's log-joint table."""
-    if table is None:
-        return model.cavi_update(factors, i), None
-    expected = _expected_log_joint(table, factors, i)
-    return GridFactor.from_log_values(factors[i].grid, expected), expected
+def _step(model: TargetModel, factors, i: int, expected):
+    """Factor i's coordinate update: the target's closed form when ``expected``
+    is None, else the grid factor exp(E_i), renormalized, from the grid path's
+    E_i = ``_expected_log_joint(table, factors, i)``."""
+    if expected is None:
+        return model.cavi_update(factors, i)
+    return GridFactor.from_log_values(factors[i].grid, expected)
 
 
 def cavi_update(model: TargetModel, factors, i: int, path: str = "auto"):
@@ -163,12 +163,12 @@ def cavi_update(model: TargetModel, factors, i: int, path: str = "auto"):
     """
     model.decomposition.check_index(i)
     if path == "auto":
-        table = None
+        expected = None
     elif path == "grid":
-        table = _log_joint_table(model, factors)
+        expected = _expected_log_joint(_log_joint_table(model, factors), factors, i)
     else:
         raise ValueError(f"unknown path {path!r}")
-    return _step(model, factors, i, table)[0]
+    return _step(model, factors, i, expected)
 
 
 def initial_factors(model: TargetModel, config: CaviConfig) -> list:
@@ -194,11 +194,13 @@ def run_cavi(model: TargetModel, config: CaviConfig,
     """
     factors = list(initial_factors(model, config) if init_factors is None else init_factors)
     if config.path == "grid":
-        # the grids are fixed for the run: tabulate once, contract per update
+        # the grids are fixed for the run: tabulate once, contract per update;
+        # the starting objective's E_0 is block 0's first update's
         table = _log_joint_table(model, factors)
-        history = [_grid_kl(factors, 0, _expected_log_joint(table, factors, 0))]
+        expected = _expected_log_joint(table, factors, 0)
+        history = [_grid_kl(factors, 0, expected)]
     else:
-        table = None
+        table = expected = None
         history = [kl_objective(model, factors)]
     cycles = 0
     converged = False
@@ -206,7 +208,9 @@ def run_cavi(model: TargetModel, config: CaviConfig,
     for _ in range(config.max_cycles):
         change = 0.0
         for i in range(model.decomposition.n_blocks):
-            new, expected = _step(model, factors, i, table)
+            if table is not None and (cycles or i):
+                expected = _expected_log_joint(table, factors, i)
+            new = _step(model, factors, i, expected)
             change = max(change, factors[i].change(new))
             factors[i] = new
             # E_i depends only on the factors j != i, so it still holds

@@ -11,7 +11,8 @@ each as one primitive:
 
 - ``log_density``: the normalized log posterior, at a point or at each row
   of a sample array, and ``log_density_table``: the same on a tensor grid
-  (the grid CAVI path's table), by default filled from ``log_density``;
+  (the grid CAVI path's table), filled in cache-sized chunks of rows, by
+  default from ``log_density``;
 - ``scan``: a whole systematic-scan Gibbs chain, run from a start on noise
   drawn up front;
 - ``block_measure``: nodes and weights for one block (trapezoid weights on a
@@ -39,6 +40,7 @@ threads; model evaluations must be pure.
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 
@@ -54,9 +56,9 @@ __all__ = [
     "make_decomposition",
 ]
 
-# Rows per log_density call of the default log_density_table, whose temporaries
-# come on top of the table; a row's values do not depend on the chunk.
-TABLE_CHUNK_POINTS = 2**20
+# Cells per chunk of rows in which both log_density_table routes fill a table, so
+# that a chunk's temporaries stay in cache; a cell's value does not depend on it.
+TABLE_CHUNK_POINTS = 2**16
 
 
 @dataclass(frozen=True)
@@ -110,6 +112,13 @@ class BlockDecomposition:
         """Indices of all other blocks, in block order."""
         s = self.block_slice(i)
         return np.concatenate([np.arange(0, s.start), np.arange(s.stop, self.total_dim)])
+
+
+def table_row_chunks(shape) -> list[slice]:
+    """Slices of axis 0 that split a table of this shape into chunks of rows of
+    at most TABLE_CHUNK_POINTS cells (or one row, if that is more)."""
+    rows = max(1, TABLE_CHUNK_POINTS // math.prod(shape[1:]))
+    return [slice(start, start + rows) for start in range(0, shape[0], rows)]
 
 
 def make_decomposition(block_dims) -> BlockDecomposition:
@@ -171,22 +180,20 @@ class TargetModel(ABC):
 
     def log_density_table(self, grids) -> np.ndarray:
         """``log_density`` on the tensor grid of 1-D node arrays, one per
-        coordinate, axis k on ``grids[k]``; by default from calls of at most
-        TABLE_CHUNK_POINTS rows (or one row of axis 0, if that is more). A
-        subclass overriding ``log_density`` overrides this too."""
+        coordinate, axis k on ``grids[k]``; by default from one call per chunk
+        of rows of axis 0 (``table_row_chunks``). A subclass overriding
+        ``log_density`` overrides this too."""
         shape = tuple(g.size for g in grids)
         rest_points = np.stack(
             [g.reshape(-1) for g in np.meshgrid(*grids[1:], indexing="ij")], axis=1)
-        n_rest = rest_points.shape[0]
         table = np.empty(shape)
-        chunk = max(1, TABLE_CHUNK_POINTS // n_rest)
-        for start in range(0, shape[0], chunk):
-            xs = grids[0][start:start + chunk]
-            pts = np.empty((xs.size, n_rest, len(grids)))
+        for rows in table_row_chunks(shape):
+            xs = grids[0][rows]
+            pts = np.empty((xs.size, rest_points.shape[0], len(grids)))
             pts[:, :, 0] = xs[:, None]
             pts[:, :, 1:] = rest_points
             lj = np.asarray(self.log_density(pts.reshape(-1, len(grids))), dtype=float)
-            table[start:start + xs.size] = lj.reshape(xs.size, *shape[1:])
+            table[rows] = lj.reshape(xs.size, *shape[1:])
         return table
 
     @abstractmethod

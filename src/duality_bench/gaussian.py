@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from duality_bench.core import BlockDecomposition, InfoEquality, TargetModel
+from duality_bench.core import BlockDecomposition, InfoEquality, TargetModel, table_row_chunks
 from duality_bench.errors import ModelError
 from duality_bench.quadrature import (
     GRID_POINTS_1D,
@@ -139,12 +139,17 @@ class GaussianFactor(Factor):
 
     def log_density_table(self, grids) -> np.ndarray:
         """Log pdf on the tensor grid of 1-D node arrays, axis k on ``grids[k]``:
-        bit for bit ``log_density`` at each grid point."""
+        bit for bit ``log_density`` at each grid point, filled one chunk of rows
+        of axis 0 at a time (``table_row_chunks``)."""
         if len(grids) != self.dim:
             raise ValueError(f"{len(grids)} grids, factor has dim {self.dim}")
-        deltas = [np.asarray(g, dtype=float) - m for g, m in zip(grids, self.mean)]
-        return self._log_pdf([d.reshape((-1,) + (1,) * (self.dim - 1 - k))
-                              for k, d in enumerate(deltas)])
+        deltas = [(np.asarray(g, dtype=float) - m).reshape((-1,) + (1,) * (self.dim - 1 - k))
+                  for k, (g, m) in enumerate(zip(grids, self.mean))]
+        table = np.empty(tuple(d.size for d in deltas))
+        for rows in table_row_chunks(table.shape):
+            # _log_pdf scales the rows' offsets in place; each row is used once
+            table[rows] = self._log_pdf([deltas[0][rows], *deltas[1:]])
+        return table
 
     def _log_pdf(self, deltas: list) -> np.ndarray:
         """Log pdf from offsets x_k - mean_k that broadcast together (columns of

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import csv
 import io
+import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -42,8 +44,6 @@ def _emit_json(obj, out: list[str]) -> None:
     elif isinstance(obj, (bool, np.bool_, int, np.integer, float, np.floating)):
         out.append(format_value(obj))
     elif isinstance(obj, str):
-        import json
-
         out.append(json.dumps(obj, ensure_ascii=False))
     elif isinstance(obj, np.ndarray):
         _emit_json(obj.tolist(), out)
@@ -58,10 +58,14 @@ def _emit_json(obj, out: list[str]) -> None:
         out.append("}")
     elif isinstance(obj, (list, tuple)):
         out.append("[")
-        for k, value in enumerate(obj):
-            if k:
-                out.append(", ")
-            _emit_json(value, out)
+        # finite floats in one join of format_value's bytes; the rest item by item
+        if obj and all(isinstance(v, float) for v in obj) and all(map(math.isfinite, obj)):
+            out.append(", ".join(["%.17g" % v for v in obj]))
+        else:
+            for k, value in enumerate(obj):
+                if k:
+                    out.append(", ")
+                _emit_json(value, out)
         out.append("]")
     else:
         raise TypeError(f"cannot serialize object of type {type(obj)}")

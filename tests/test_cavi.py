@@ -377,6 +377,21 @@ class TestGridTable:
         assert grid_run(model).cycles >= 2
         assert tables == [model.decomposition.n_blocks]
 
+    @pytest.mark.parametrize("model", [bivariate(0.5), three_blocks()], ids=["K2", "K3"])
+    def test_one_run_contracts_the_table_once_per_update(self, model, monkeypatch):
+        import duality_bench.cavi as cavi
+
+        contractions = []
+        contract = cavi._expected_log_joint
+        monkeypatch.setattr(cavi, "_expected_log_joint",
+                            lambda *args: contractions.append(args[2]) or contract(*args))
+        state = grid_run(model)
+        k = model.decomposition.n_blocks
+        assert state.cycles >= 2
+        # the starting objective's E_0 is block 0's first update's
+        assert contractions == list(range(k)) * state.cycles
+        assert len(state.objective_history) == k * state.cycles + 1
+
     def test_a_table_over_the_bound_raises_before_any_row(self, monkeypatch):
         from duality_bench.cavi import MAX_TABLE_CELLS
 

@@ -293,3 +293,26 @@ def test_log_density_table_is_log_density_at_the_grid_rows_bit_for_bit(spec):
     table = model.log_density_table(grids)
     assert table.shape == tuple(g.size for g in grids)
     assert table.tobytes() == model.log_density(rows).tobytes()
+
+
+@pytest.mark.parametrize("chunk_points", ["one", "uneven", 2**62])
+@pytest.mark.parametrize("sizes", [(7, 5), (7, 4, 3)], ids=["D2", "D3"])
+def test_both_table_routes_are_log_density_across_chunk_boundaries(sizes, chunk_points,
+                                                                  monkeypatch):
+    import duality_bench.core as core
+    from duality_bench import TargetModel
+
+    n_rest = int(np.prod(sizes[1:]))
+    # one row per chunk; chunks of 3, 3 and 1 rows; one chunk for the table
+    points = {"one": 1, "uneven": 3 * n_rest}.get(chunk_points, chunk_points)
+    monkeypatch.setattr(core, "TABLE_CHUNK_POINTS", points)
+    d = len(sizes)
+    a = np.random.default_rng(d).standard_normal((d, d))
+    model = GaussianTarget(np.arange(d) - 0.5, a @ a.T + 0.3 * np.eye(d),
+                           make_decomposition([1] * d))
+    grids = [np.linspace(-4.0 - k, 3.0 + k, n) for k, n in enumerate(sizes)]
+    rows = np.stack([m.reshape(-1) for m in np.meshgrid(*grids, indexing="ij")], axis=1)
+    expected = model.log_density(rows).tobytes()
+    for table in (model.log_density_table(grids), TargetModel.log_density_table(model, grids)):
+        assert table.shape == sizes
+        assert table.tobytes() == expected
