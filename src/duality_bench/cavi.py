@@ -145,30 +145,22 @@ def _expected_log_joint(table: np.ndarray, factors, i: int) -> np.ndarray:
     return expected
 
 
-def _step(model: TargetModel, factors, i: int, expected):
-    """Factor i's coordinate update: the target's closed form when ``expected``
-    is None, else the grid factor exp(E_i), renormalized, from the grid path's
-    E_i = ``_expected_log_joint(table, factors, i)``."""
-    if expected is None:
-        return model.cavi_update(factors, i)
-    return GridFactor.from_log_values(factors[i].grid, expected)
-
-
 def cavi_update(model: TargetModel, factors, i: int, path: str = "auto"):
     """One coordinate update of factor i, other factors held fixed.
 
-    Returns a normalized factor of the same representation family. Never
-    increases the KL objective (coordinate descent on the divergence to the
-    posterior). On the grid path each call tabulates the log joint afresh.
+    Returns a normalized factor of the same representation family: the
+    target's closed form on the "auto" path, exp(E_i) renormalized on the grid
+    path (E_i from ``_expected_log_joint``), where each call tabulates the log
+    joint afresh. Never increases the KL objective (coordinate descent on the
+    divergence to the posterior).
     """
     model.decomposition.check_index(i)
     if path == "auto":
-        expected = None
-    elif path == "grid":
+        return model.cavi_update(factors, i)
+    if path == "grid":
         expected = _expected_log_joint(_log_joint_table(model, factors), factors, i)
-    else:
-        raise ValueError(f"unknown path {path!r}")
-    return _step(model, factors, i, expected)
+        return GridFactor.from_log_values(factors[i].grid, expected)
+    raise ValueError(f"unknown path {path!r}")
 
 
 def initial_factors(model: TargetModel, config: CaviConfig) -> list:
@@ -210,7 +202,8 @@ def run_cavi(model: TargetModel, config: CaviConfig,
         for i in range(model.decomposition.n_blocks):
             if table is not None and (cycles or i):
                 expected = _expected_log_joint(table, factors, i)
-            new = _step(model, factors, i, expected)
+            new = (cavi_update(model, factors, i) if table is None
+                   else GridFactor.from_log_values(factors[i].grid, expected))
             change = max(change, factors[i].change(new))
             factors[i] = new
             # E_i depends only on the factors j != i, so it still holds

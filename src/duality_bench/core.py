@@ -17,8 +17,8 @@ each as one primitive:
   drawn up front;
 - ``block_measure``: nodes and weights for one block (trapezoid weights on a
   continuous block, the counting measure on a discrete one);
-- ``marginal`` and ``log_marginals``: the block marginal as a factor, and
-  log pi_i and log pi_-i at the rows of a sample array;
+- ``marginal`` and ``log_densities``: the block marginal as a factor, and
+  log pi, log pi_i and log pi_-i at the rows of a sample array;
 - ``expected_log_conditional``: E over the complement factors of the log
   full conditional, on the block measure;
 - ``product_kl``: KL from a product of block factors to the target's
@@ -232,8 +232,11 @@ class TargetModel(ABC):
         """Marginal density of block i, as a factor of the family."""
         raise self._no_closed_form("block marginals")
 
-    def log_marginals(self, i: int, samples) -> tuple[np.ndarray, np.ndarray]:
-        """log pi(theta_i) and log pi(theta_-i) at each row of an (n, D) array."""
+    def log_densities(self, i: int, samples) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """log pi(theta), log pi(theta_i) and log pi(theta_-i) at each row of an
+        (n, D) array, the first bit for bit ``log_density``'s; a row's values do
+        not depend on the rows beside it. A subclass overriding ``log_density``
+        overrides this too."""
         raise self._no_closed_form("block marginals")
 
     def expected_log_conditional(self, factors, i: int) -> np.ndarray:

@@ -233,10 +233,9 @@ class _FunctionalWorkspace:
         points = np.empty((self.grid.size, dec.total_dim))
         points[:, dec.block_slice(i)] = self.grid.reshape(-1, 1)
         points[:, dec.complement_indices(i)] = c
-        log_joint = np.asarray(model.log_density(points))
-        self.log_marginal = model.log_marginals(i, points)[0]
-        # the bound depends on c alone: evaluate it at a single row
-        self.log_bound = float(model.log_marginals(i, points[:1])[1][0])
+        log_joint, self.log_marginal, log_complement = model.log_densities(i, points)
+        # the bound depends on c alone, the same on every row
+        self.log_bound = float(log_complement[0])
         with np.errstate(invalid="ignore"):
             # -inf at zero-marginal points; those fail the support check
             self.log_cond_at_c = np.where(
@@ -301,16 +300,11 @@ def information_equality_check(model: TargetModel, i: int,
 
 def info_monte_carlo(model: TargetModel, trace: ChainTrace, i: int) -> dict[str, Estimate]:
     """Monte Carlo estimates of I, H(theta_-i), H(theta_-i|theta_i) from a
-    Gibbs trace, with batch-means standard errors."""
+    Gibbs trace, with batch-means standard errors, from one ``log_densities``
+    call: log pi, log pi_i and log pi_-i at every trace row."""
     if trace.samples.shape[1] != model.decomposition.total_dim:
         raise ModelError("trace and model disagree on the parameter dimension")
-    return _info_monte_carlo(model, trace, i, np.asarray(model.log_density(trace.samples)))
-
-
-def _info_monte_carlo(model: TargetModel, trace: ChainTrace, i: int,
-                      log_joint: np.ndarray) -> dict[str, Estimate]:
-    """``info_monte_carlo`` given the log density at every trace row."""
-    log_m_i, log_m_c = model.log_marginals(i, trace.samples)
+    log_joint, log_m_i, log_m_c = model.log_densities(i, trace.samples)
     mi_values = log_joint - log_m_i - log_m_c
     h_c_values = -log_m_c
     h_cond_values = -(log_joint - log_m_i)
@@ -357,12 +351,6 @@ def squash_pointwise_check(model: TargetModel, state: MeanFieldState, i: int,
     r_value = squashing_constant(model, state, i)
     if grid is None:
         grid = model.block_measure(i, SQUASH_GRID_POINTS)[0]
-    return _squash_slack(model, state, i, grid, r_value)
-
-
-def _squash_slack(model: TargetModel, state: MeanFieldState, i: int, grid,
-                  r_value: float) -> float:
-    """``squash_pointwise_check`` given block i's squashing constant R."""
     grid = np.asarray(grid, dtype=float)
     marg = model.marginal(i).values_at(grid)
     return float(np.min(marg - r_value * state.factors[i].values_at(grid)))
@@ -478,11 +466,9 @@ def build_report(model: TargetModel, trace: ChainTrace, state: MeanFieldState,
     info_tol = 1e-12 if model.is_discrete else 1e-8
     rng = make_rng(options.suite_seed)
     reference = model.reference_point()
-    # one log density of the trace serves every block's estimates; it is
-    # dropped before the suites, which do not need it
-    log_joint = np.asarray(model.log_density(trace.samples))
-    monte_carlo = [_info_monte_carlo(model, trace, i, log_joint) for i in range(dec.n_blocks)]
-    del log_joint
+    # every block's estimates come first, so that a bad trace row raises
+    # before any suite runs
+    monte_carlo = [info_monte_carlo(model, trace, i) for i in range(dec.n_blocks)]
     blocks: list[BlockDiagnostics] = []
     for i in range(dec.n_blocks):
         c_ref = reference[dec.complement_indices(i)]
@@ -509,8 +495,8 @@ def build_report(model: TargetModel, trace: ChainTrace, state: MeanFieldState,
             min_slack = min(min_slack, float(np.min(ws.concavity_slack(pq[0::2], pq[1::2], a))))
         info = information_equality_check(model, i, method=options.info_method)
         r_value = squashing_constant(model, state, i)
-        squash_slack = _squash_slack(
-            model, state, i, model.block_measure(i, options.squash_grid_points)[0], r_value)
+        squash_slack = squash_pointwise_check(
+            model, state, i, model.block_measure(i, options.squash_grid_points)[0])
         bound = kl_lower_bound(model, state, i)
         values = {
             "block": i + 1,

@@ -255,15 +255,18 @@ class DiscreteTarget(TargetModel):
         self._decomposition.check_index(i)
         return DiscreteFactor(self._cond[i]["mass"])
 
-    def log_marginals(self, i: int, samples) -> tuple[np.ndarray, np.ndarray]:
+    def log_densities(self, i: int, samples) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The three from one check of the rows' states."""
         self._decomposition.check_index(i)
         idx = _state_indices(samples, self._table.shape)
         flat = np.ravel_multi_index(np.delete(idx, i, axis=1).T, self._complement_shape(i))
-        return (_safe_log(self.marginal(i).pmf)[idx[:, i]],
+        return (_safe_log(self._table[tuple(idx.T)]),
+                _safe_log(self.marginal(i).pmf)[idx[:, i]],
                 _safe_log(self.complement_marginal(i).pmf)[flat])
 
     def conditional_entropy_complement(self, i: int) -> float:
         """H(theta_-i | theta_i) = -sum_theta pi(theta) log pi(theta_-i | theta_i)."""
+        self._decomposition.check_index(i)
         p_i = self._table.sum(axis=tuple(j for j in range(self._table.ndim) if j != i))
         shape = [1] * self._table.ndim
         shape[i] = self._table.shape[i]
@@ -272,6 +275,7 @@ class DiscreteTarget(TargetModel):
 
     def conditional_entropy_block(self, i: int) -> float:
         """H(theta_i | theta_-i)."""
+        self._decomposition.check_index(i)
         rows, mass = self._cond[i]["rows"], self._cond[i]["mass"]
         log_cond = _safe_log(rows) - _safe_log(mass)[:, None]
         return -float(np.sum(_xlogy(rows, log_cond)))

@@ -365,10 +365,11 @@ class GaussianTarget(TargetModel):
         blk = self._blocks[self._decomposition.check_index(i)]
         return GaussianFactor(self._mean[blk["ci"]], self._cov[np.ix_(blk["ci"], blk["ci"])])
 
-    def log_marginals(self, i: int, samples) -> tuple[np.ndarray, np.ndarray]:
+    def log_densities(self, i: int, samples) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         blk = self._blocks[self._decomposition.check_index(i)]
         samples = np.asarray(samples, dtype=float)
-        return (np.asarray(self.marginal(i).log_density(samples[:, self._decomposition.block_slice(i)])),
+        return (np.asarray(self.log_density(samples)),
+                np.asarray(self.marginal(i).log_density(samples[:, blk["bi"]])),
                 np.asarray(self.complement_marginal(i).log_density(samples[:, blk["ci"]])))
 
     def conditional_complement(self, i: int, block_values) -> GaussianFactor:
@@ -460,6 +461,10 @@ class GaussianTarget(TargetModel):
     def product_kl(self, factors, i: int | None = None) -> float:
         """Closed-form KL from the block-diagonal product Gaussian."""
         factors = _gaussian_factors(factors)
+        if len(factors) != self._decomposition.n_blocks:
+            raise ValueError("need one factor per block")
+        if i is not None:
+            self._decomposition.check_index(i)
         keep = [j for j in range(self._decomposition.n_blocks) if j != i]
         idx = np.concatenate([self._decomposition.block_indices(j) for j in keep])
         product = GaussianFactor(np.concatenate([factors[j].mean for j in keep]),

@@ -1,10 +1,14 @@
 """The engines reach a target only through the TargetModel contract: a
 wrapper that forwards the contract, and nothing else, gives the same CAVI
 state and the same report as the target it wraps, and one that forwards only
-the abstract members still gets its chain and its grid-path state."""
+the abstract members still gets its chain and its grid-path state. The
+report and the CAVI run reach each stage through its public function, and
+both families' contract members agree on their values and their errors."""
 
 import ast
 import inspect
+import re
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +27,7 @@ from duality_bench import (
     run_cavi,
     run_chain,
 )
+from duality_bench import cavi, diagnostics
 from duality_bench.cavi import initial_factors, state_to_jsonable
 from duality_bench.serialize import dumps_json
 
@@ -145,3 +150,104 @@ def test_engines_never_name_a_family(engine):
     sites = [(engine, scope, name) for scope, name in _factor_isinstance_sites(tree)]
     assert set(sites) <= ALLOWED_FACTOR_TESTS and len(sites) == len(set(sites)), \
         f"isinstance on a factor class: {sites}"
+
+
+# The names bench/tracer.py wraps to time the report's stages and count updates.
+REPORT_STAGES = ["info_monte_carlo", "information_equality_check", "squashing_constant",
+                 "squash_pointwise_check", "kl_lower_bound"]
+
+
+def test_report_and_cavi_run_call_the_public_stage_functions(monkeypatch):
+    calls = Counter()
+
+    def count(module, name):
+        fn = getattr(module, name)
+
+        def counting(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+
+    for name in REPORT_STAGES:
+        count(diagnostics, name)
+    count(cavi, "cavi_update")
+    model = discrete()
+    k = model.decomposition.n_blocks
+    state = run_cavi(model, CaviConfig(max_cycles=200, tolerance=1e-10))
+    assert calls == {"cavi_update": k * state.cycles}
+    trace = run_chain(model, GibbsConfig(n_cycles=2000, burn_in=200, seed=0))
+    calls.clear()
+    build_report(model, trace, state)
+    # squash_pointwise_check takes its own R through squashing_constant
+    assert calls == {"info_monte_carlo": k, "information_equality_check": k,
+                     "squashing_constant": 2 * k, "squash_pointwise_check": k,
+                     "kl_lower_bound": k}
+
+
+def gaussian_vector_block():
+    cov = [[1.0, 0.3, -0.2], [0.3, 1.2, 0.4], [-0.2, 0.4, 0.9]]
+    return GaussianTarget([0.5, -1.0, 0.2], cov, make_decomposition([1, 2]))
+
+
+def zero_cells_2():
+    return DiscreteTarget([[0.5, 0.0], [0.2, 0.3]])
+
+
+def zero_cells_3():
+    # no mass where block 0 is 2, nor where blocks 1 and 2 are both 1
+    table = np.zeros((3, 2, 2))
+    table[:2] = random_table(np.random.default_rng(7), (2, 2, 2))
+    table[:, 1, 1] = 0.0
+    return DiscreteTarget(table / table.sum())
+
+
+def _rows(model):
+    """Every cell of a table; 40 standard normal points for a Gaussian."""
+    if model.is_discrete:
+        shape = model.support_sizes
+        return np.indices(shape).reshape(len(shape), -1).T.astype(float)
+    return np.random.default_rng(3).standard_normal((40, model.decomposition.total_dim))
+
+
+@pytest.mark.parametrize("make_model", [gaussian_2, gaussian_vector_block, gaussian_3,
+                                        zero_cells_2, zero_cells_3])
+def test_log_densities_are_the_joint_and_both_marginals_bit_for_bit(make_model):
+    model = make_model()
+    dec = model.decomposition
+    samples = _rows(model)
+    for i in range(dec.n_blocks):
+        joint, block, complement = model.log_densities(i, samples)
+        comp = samples[:, dec.complement_indices(i)]
+        if model.is_discrete:   # the complement marginal is flat in C order
+            comp = np.ravel_multi_index(comp.astype(int).T, np.delete(model.support_sizes, i))
+        expected = (model.log_density(samples),
+                    model.marginal(i).log_density(samples[:, dec.block_slice(i)]),
+                    model.complement_marginal(i).log_density(comp.reshape(len(samples), -1)))
+        for got, want in zip((joint, block, complement), expected):
+            assert got.shape == (len(samples),)
+            assert got.tobytes() == np.asarray(want).tobytes()
+        for got, one in zip((joint, block, complement), model.log_densities(i, samples[:1])):
+            assert got[:1].tobytes() == one.tobytes()
+    if model.is_discrete:
+        assert np.isneginf(model.log_densities(0, samples)[0]).any()
+
+
+@pytest.mark.parametrize("row", [[0.0, 2.0], [-1.0, 0.0], [0.5, 1.0]])
+def test_log_densities_name_a_bad_table_row(row):
+    samples = np.array([[0.0, 0.0], row, [1.0, 1.0]])
+    with pytest.raises(ValueError, match=re.escape(str(row))):
+        zero_cells_2().log_densities(0, samples)
+
+
+@pytest.mark.parametrize("make_model", [gaussian_2, zero_cells_2])
+def test_product_kl_checks_the_block_index_and_the_factor_count(make_model):
+    model = make_model()
+    factors = model.initial_factors("default")
+    assert np.isfinite(model.product_kl(factors, 1))
+    for i in (2, 5, -1):
+        with pytest.raises(IndexError):
+            model.product_kl(factors, i)
+    for wrong in (factors[:1], [*factors, factors[0]]):
+        with pytest.raises(ValueError, match="need one factor per block"):
+            model.product_kl(wrong)

@@ -130,6 +130,14 @@ class TestInformationQuantities:
         # symmetric form with independently enumerated entropies
         assert abs(i_val - (t.marginal(0).entropy() - t.conditional_entropy_block(0))) <= 1e-14
 
+    @pytest.mark.parametrize("i", [-1, 2])
+    def test_conditional_entropies_check_the_block_index(self, i):
+        t = DiscreteTarget(TABLE)
+        with pytest.raises(IndexError):
+            t.conditional_entropy_block(i)
+        with pytest.raises(IndexError):
+            t.conditional_entropy_complement(i)
+
     def test_uniform_entropy_is_log_n(self):
         t = DiscreteTarget(np.full((4, 3), 1.0 / 12))
         assert t.marginal(0).entropy() == pytest.approx(np.log(4), abs=1e-15)
