@@ -463,6 +463,9 @@ class GaussianTarget(TargetModel):
         factors = _gaussian_factors(factors)
         if len(factors) != self._decomposition.n_blocks:
             raise ValueError("need one factor per block")
+        for j, (factor, dim) in enumerate(zip(factors, self._decomposition.block_dims)):
+            if factor.dim != dim:
+                raise ValueError(f"block {j} has dimension {dim}, its factor {factor.dim}")
         if i is not None:
             self._decomposition.check_index(i)
         keep = [j for j in range(self._decomposition.n_blocks) if j != i]

@@ -6,7 +6,10 @@ dict keys keep their (deterministic) insertion order, JSON strings are UTF-8,
 and CSV files are RFC-4180 with a header row and LF line endings.
 
 The stdlib json encoder hardwires repr() for floats, hence the small
-hand-rolled emitter.
+hand-rolled emitter. Trace CSVs get ``"%.17g"``'s digits from numpy: Dekker's
+two-product gives each |x| * 10**k exactly, to round half-even; each cell is a
+column of uint8 slots, NUL where ``%g`` prints nothing, which one
+``bytes.translate`` per chunk of rows drops.
 """
 
 from __future__ import annotations
@@ -91,10 +94,75 @@ def write_csv(path, header: list[str], rows) -> None:
     Path(path).write_bytes(buf.getvalue().encode("utf-8"))
 
 
+_ROW_CHUNK = 4096  # trace rows per slot matrix, which then stays in cache
+_POW10 = np.array([float(10**k) for k in range(23)])  # exact up to 10**22
+_J = np.arange(17, dtype=np.uint8)[:, None]  # digit positions, one row each
+# for each decimal exponent from -6 to 16, %g's "0.000" prefix and "e±NN" slots
+_AROUND = np.array([list((b"0.000"[:1 - k] if -4 <= k < 0 else b"").ljust(5, b"\0")
+                         + (b"" if k >= -4 else b"e%+03d" % k).ljust(4, b"\0"))
+                    for k in range(-6, 17)], np.uint8).T
+
+
+def _two_product(a, b):
+    """hi, lo with hi + lo == a * b exactly: Dekker's two-product on
+    Veltkamp's splits (by 2**27 + 1) of a and b."""
+    ca, cb = 134217729.0 * a, 134217729.0 * b
+    ah, bh = ca - (ca - a), cb - (cb - b)
+    al, bl, hi = a - ah, b - bh, a * b
+    return hi, ((ah * bh - hi) + ah * bl + al * bh) + al * bl
+
+
+def _decimal17(a):
+    """D in [1e16, 1e17) and E with each a in (1e-6, 1e17), rounded half-even
+    to 17 digits, equal to D * 10**(E - 16)."""
+    e = np.clip(np.floor(np.log10(a)), -6, 16).astype(np.int64)
+    hi, lo = _two_product(a, _POW10[16 - e])  # log10 may be one off: mend E
+    e -= (hi < 1e16) | ((hi == 1e16) & (lo < 0))
+    e += (hi > 1e17) | ((hi == 1e17) & (lo >= 0))
+    hi, lo = _two_product(a, _POW10[16 - e])
+    # hi is an even integer here, so rint's half-even rule decides ties; no
+    # double in range rounds up to a power of ten, so D stays below 1e17
+    return hi.astype(np.int64) + np.rint(lo).astype(np.int64), e
+
+
+def _float_slots(x):
+    """``"%.17g" % v`` for each v of 1-D x as a column of 44 uint8 slots, NUL if
+    unused: a sign, ``0.000``, 17 digits each with a point slot after, ``e±NN``."""
+    a = np.abs(x)
+    fast = (a > 1e-6) & (a < 1e17)  # the double 1e-6 is below 10**-6
+    d, e = np.array(_decimal17(np.where(fast, a, 1.0))) * (a != 0)  # 0 is D = E = 0
+    part = np.stack(np.divmod(d, 10**9)).astype(np.uint32)  # two 9-digit halves
+    digits = np.empty((2, 9, x.size), np.uint8)
+    for j in range(8, -1, -1):
+        q = part // 10
+        digits[:, j] = part - q * 10
+        part = q
+    digits = digits.reshape(18, -1)[1:]
+    point = np.where(e >= -4, e, 0)  # the digit the point follows, if any
+    last = np.maximum((digits.astype(bool) * _J).max(0), point)  # the last digit kept
+    s = np.empty((44, x.size), np.uint8)
+    s[0] = np.signbit(x) * ord("-")
+    s[1:6], s[40:44] = np.split(_AROUND[:, e + 6], [5])
+    s[6:40:2] = (_J <= last) * (digits + ord("0"))
+    s[7:40:2] = ((_J == point) & (last > point)) * np.uint8(ord("."))
+    for k in np.flatnonzero(~fast & (a != 0)):
+        s[:, k] = np.frombuffer(("%.17g" % x[k]).encode().ljust(44, b"\0"), np.uint8)
+    return s
+
+
+def _int_slots(c):
+    """``str(v)`` for each int v of 1-D c as a column of sign and digit slots."""
+    a = np.abs(c)
+    place = 10 ** np.arange(len(str(a.max())) - 1, -1, -1)[:, None]
+    digits = (a // place % 10 + ord("0")) * (place <= np.maximum(a, 1))
+    return np.vstack([(c < 0) * ord("-"), digits]).astype(np.uint8)
+
+
 def write_trace_csv(path, header: list[str], first_cycle: int, samples: np.ndarray) -> None:
-    """The bytes of ``write_csv`` for rows ``[first_cycle + r, *samples[r]]``,
-    made in one pass: one finiteness check over the array, then one format
-    string per row instead of ``format_value`` per value."""
+    """The bytes of ``write_csv`` for rows ``[first_cycle + r, *samples[r]]``:
+    one finiteness check over the array, then per chunk of rows one matrix of
+    byte slots (the cycle, then per column ``,`` and the value's slots, then
+    the newline) whose NULs one ``translate`` drops."""
     samples = np.asarray(samples, dtype=float)
     finite = np.isfinite(samples)
     if not finite.all():
@@ -102,7 +170,14 @@ def write_trace_csv(path, header: list[str], first_cycle: int, samples: np.ndarr
         raise ValueError(f"non-finite value {bad!r} cannot be serialized")
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerow(header)
-    row = "%d" + ",%.17g" * samples.shape[1] + "\n"
-    buf.write("".join(row % (first_cycle + r, *values)
-                      for r, values in enumerate(samples.tolist())))
-    Path(path).write_bytes(buf.getvalue().encode("utf-8"))
+    parts = [buf.getvalue().encode("utf-8")]
+    rows, cols = samples.shape
+    for r0 in range(0, rows, _ROW_CHUNK):
+        block = samples[r0:r0 + _ROW_CHUNK].T
+        m = block.shape[1]
+        cells = np.full((cols, 45, m), ord(","), np.uint8)
+        cells[:, 1:] = _float_slots(block.ravel()).reshape(44, cols, m).transpose(1, 0, 2)
+        out = np.vstack([_int_slots(np.arange(first_cycle + r0, first_cycle + r0 + m)),
+                         cells.reshape(-1, m), np.full((1, m), ord("\n"), np.uint8)])
+        parts.append(out.T.tobytes().translate(None, b"\0"))
+    Path(path).write_bytes(b"".join(parts))

@@ -17,6 +17,7 @@ import pytest
 from duality_bench import (
     CaviConfig,
     DiscreteTarget,
+    GaussianFactor,
     GaussianTarget,
     GibbsConfig,
     GridFactor,
@@ -251,3 +252,14 @@ def test_product_kl_checks_the_block_index_and_the_factor_count(make_model):
     for wrong in (factors[:1], [*factors, factors[0]]):
         with pytest.raises(ValueError, match="need one factor per block"):
             model.product_kl(wrong)
+
+
+def test_gaussian_product_kl_checks_each_factor_against_its_block():
+    cov = [[2.0, 0.5, 0.3], [0.5, 1.5, 0.2], [0.3, 0.2, 1.0]]
+    model = GaussianTarget([0.0, 0.0, 0.0], cov, make_decomposition([1, 2]))
+    aligned = [GaussianFactor([0.1], [[1.5]]), GaussianFactor([0.2, -0.1], np.eye(2))]
+    assert np.isfinite(model.product_kl(aligned))
+    swapped = [GaussianFactor([0.2, -0.1], np.eye(2)), GaussianFactor([0.1], [[1.5]])]
+    for i in (None, 0, 1):
+        with pytest.raises(ValueError, match="block 0 has dimension 1, its factor 2"):
+            model.product_kl(swapped, i)
