@@ -5,9 +5,9 @@ the log full conditional under the other factors, in fixed order 0..K-1
 (results can depend on the order; fixing it makes runs reproducible). Two
 update paths share that contract:
 
-- the target's closed-form update (``TargetModel.cavi_update``): analytic
-  for Gaussian targets with Gaussian factors, exact summation for discrete
-  targets;
+- the target's closed-form update, the factor of its coordinate tilt
+  (``TargetModel.tilt``): analytic for Gaussian targets with Gaussian
+  factors, exact summation for discrete targets;
 - grid tabulation, for any continuous target with 1-D blocks (expectations
   by tensor trapezoid quadrature on the nodes of the factors' grids).
 
@@ -149,14 +149,14 @@ def cavi_update(model: TargetModel, factors, i: int, path: str = "auto"):
     """One coordinate update of factor i, other factors held fixed.
 
     Returns a normalized factor of the same representation family: the
-    target's closed form on the "auto" path, exp(E_i) renormalized on the grid
-    path (E_i from ``_expected_log_joint``), where each call tabulates the log
-    joint afresh. Never increases the KL objective (coordinate descent on the
-    divergence to the posterior).
+    factor of the target's tilt (``TargetModel.tilt``) on the "auto" path,
+    exp(E_i) renormalized on the grid path (E_i from ``_expected_log_joint``),
+    where each call tabulates the log joint afresh. Never increases the KL
+    objective (coordinate descent on the divergence to the posterior).
     """
     model.decomposition.check_index(i)
     if path == "auto":
-        return model.cavi_update(factors, i)
+        return model.tilt(factors, i)[0]
     if path == "grid":
         expected = _expected_log_joint(_log_joint_table(model, factors), factors, i)
         return GridFactor.from_log_values(factors[i].grid, expected)

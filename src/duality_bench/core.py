@@ -19,14 +19,15 @@ each as one primitive:
   continuous block, the counting measure on a discrete one);
 - ``marginal`` and ``log_densities``: the block marginal as a factor, and
   log pi, log pi_i and log pi_-i at the rows of a sample array;
-- ``expected_log_conditional``: E over the complement factors of the log
-  full conditional, on the block measure;
+- ``tilt``: CAVI's coordinate update of one block, q_i* proportional to
+  exp E_{q_-i}[log pi(theta_i | theta_-i)], as a factor, with its log
+  normalizer log Z_i: the update of the engine's ``"auto"`` path, and the
+  numerator of the squashing constant;
 - ``product_kl``: KL from a product of block factors to the target's
   marginal on those blocks;
 - ``block_kl_terms`` and ``information_equality``: the per-block KL bound
   and the information quantities, each by the family's own route;
-- ``cavi_update`` and ``initial_factors``: closed-form coordinate updates
-  and starting factors, the CAVI engine's ``"auto"`` path;
+- ``initial_factors``: starting factors of the CAVI engine's ``"auto"`` path;
 - ``random_values``, ``reference_point`` and ``echo``: random candidate
   densities as rows of values on the block measure, the default complement
   point and the report's model description.
@@ -239,10 +240,13 @@ class TargetModel(ABC):
         overrides this too."""
         raise self._no_closed_form("block marginals")
 
-    def expected_log_conditional(self, factors, i: int) -> np.ndarray:
-        """E over the factors of the other blocks of log pi(theta_i = x | theta_-i),
-        for x at the nodes of ``block_measure(i)``."""
-        raise self._no_closed_form("expected log full conditionals")
+    def tilt(self, factors, i: int) -> tuple:
+        """(q_i*, log Z_i): the coordinate update of factor i as a factor of the
+        family, q_i* = exp E_{q_-i}[log pi(theta_i | theta_-i)] / Z_i with the
+        expectation over the factors of the other blocks, and its log normalizer
+        log Z_i = log int exp E_{q_-i}[log pi(theta_i | theta_-i)] d theta_i.
+        ValueError unless there is one factor per block, each on its block."""
+        raise self._no_closed_form("coordinate tilts")
 
     def product_kl(self, factors, i: int | None = None) -> float:
         """KL(prod_j q_j || pi) over all blocks, or over the blocks j != i
@@ -258,10 +262,6 @@ class TargetModel(ABC):
     def information_equality(self, i: int, method: str = "auto") -> InfoEquality:
         """I(theta_i; theta_-i) and the four entropies, each computed independently."""
         raise self._no_closed_form("the information equalities")
-
-    def cavi_update(self, factors, i: int):
-        """Closed-form coordinate update of factor i, a factor of the family."""
-        raise self._no_closed_form("coordinate updates")
 
     def initial_factors(self, strategy: str) -> list:
         """Starting factors of the family for the named CAVI strategy."""

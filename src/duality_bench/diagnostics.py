@@ -16,10 +16,11 @@ Covers, per block of a target model:
   pointwise bound  R * q_i <= marginal  and the KL lower bound
   KL(q_i || marginal) >= max{0, raw log value}.
 
-Everything is computed on an explicit grid measure (trapezoid weights) or by
-exact summation; densities are renormalized on that measure first, which
-makes the Jensen-derived inequalities hold at float precision regardless of
-truncation error. Exp-then-integrate steps use log-sum-exp.
+Everything is computed in closed form, on an explicit grid measure
+(trapezoid weights) or by exact summation; densities are renormalized on a
+measure first, which makes the Jensen-derived inequalities hold at float
+precision regardless of truncation error. Exp-then-integrate steps use
+log-sum-exp.
 """
 
 from __future__ import annotations
@@ -325,13 +326,12 @@ def squashing_constant(model: TargetModel, state: MeanFieldState, i: int) -> flo
     / exp KL(q(theta_-i) || pi(theta_-i|y)); lies in (0, 1] for any
     complement density dominated by the complement marginal.
 
-    Numerator on the block measure with log-sum-exp, denominator via the
-    closed-form/enumerated KL.
+    The numerator is the normalizer Z_i of the coordinate tilt, whose log
+    ``TargetModel.tilt`` gives, and the denominator the closed-form/enumerated
+    KL; neither needs a block measure, so R is defined on vector blocks too.
     """
     model.decomposition.check_index(i)
-    weights = model.block_measure(i)[1]
-    expected = model.expected_log_conditional(state.factors, i)
-    log_num = logsumexp(expected + np.log(weights))
+    log_num = model.tilt(state.factors, i)[1]
     kl_c = model.product_kl(state.factors, i)
     if not np.isfinite(kl_c):
         raise SupportError("complement factor mass outside the complement marginal")

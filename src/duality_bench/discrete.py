@@ -320,9 +320,11 @@ class DiscreteTarget(TargetModel):
             w = np.multiply.outer(w, f.pmf)
         return w.reshape(-1)
 
-    def expected_log_conditional(self, factors, i: int) -> np.ndarray:
-        """Exact summation over the complement states. Rejects supports where
-        a zero conditional meets positive complement mass."""
+    def tilt(self, factors, i: int) -> tuple[DiscreteFactor, float]:
+        """Exact summation over the complement states of g = E[log pi(x | theta_-i)];
+        the update is exp(g - max g) over its sum, and log Z_i is max g plus the
+        log of that sum. Rejects supports where a zero conditional meets
+        positive complement mass."""
         self._decomposition.check_index(i)
         w = self._factor_product(factors, i)
         rows, mass = self._cond[i]["rows"], self._cond[i]["mass"]
@@ -337,13 +339,11 @@ class DiscreteTarget(TargetModel):
                 "factor has positive mass (absolute continuity violated)"
             )
         log_cond = _safe_log(rows[active]) - _safe_log(mass[active])[:, None]
-        return w[active] @ log_cond
-
-    def cavi_update(self, factors, i: int) -> DiscreteFactor:
-        """Normalized exp of the expected log full conditional of block i."""
-        g = self.expected_log_conditional(factors, i)
-        nu = np.exp(g - g.max())
-        return DiscreteFactor(nu / nu.sum())
+        g = w[active] @ log_cond
+        top = g.max()
+        nu = np.exp(g - top)
+        total = nu.sum()
+        return DiscreteFactor(nu / total), float(top + np.log(total))
 
     def initial_factors(self, strategy: str) -> list[DiscreteFactor]:
         if strategy in ("default", "uniform"):
@@ -355,7 +355,9 @@ class DiscreteTarget(TargetModel):
     def product_kl(self, factors, i: int | None = None) -> float:
         q = self._factor_product(factors, i)
         pi = self._table.reshape(-1) if i is None else self.complement_marginal(i).pmf
-        return float(np.sum(_xlogy(q, _safe_log(q) - _safe_log(pi))))
+        with np.errstate(invalid="ignore"):   # log 0 - log 0 where q has no mass; _xlogy drops it
+            log_ratio = _safe_log(q) - _safe_log(pi)
+        return float(np.sum(_xlogy(q, log_ratio)))
 
     def block_kl_terms(self, factor, i: int) -> tuple[float, float]:
         if not isinstance(factor, DiscreteFactor):

@@ -425,19 +425,6 @@ class GaussianTarget(TargetModel):
 
     # --- coordinate-ascent machinery ---------------------------------------
 
-    def cavi_update(self, factors, i: int) -> GaussianFactor:
-        """Lemma-style analytic update: the exponentiated expected log full
-        conditional under Gaussian complement factors.
-
-        The log full conditional is quadratic in theta_-i, so, up to a
-        constant in theta_i, its expectation depends on the complement factors
-        through their means alone: the update is the full conditional at those
-        means. With delta = m - mu the fixed point solves (Lambda delta)_i = 0
-        for every block, so it is the full conditional at the posterior mean.
-        """
-        return self.full_conditional(i, np.concatenate(
-            [f.mean for j, f in enumerate(_gaussian_factors(factors)) if j != i]))
-
     def initial_factors(self, strategy: str) -> list[GaussianFactor]:
         if strategy in ("default", "marginals"):
             return [self.marginal(i) for i in range(self._decomposition.n_blocks)]
@@ -447,25 +434,34 @@ class GaussianTarget(TargetModel):
 
     # --- expectations and KLs under Gaussian factor products ---------------
 
-    def expected_log_conditional(self, factors, i: int) -> np.ndarray:
-        """Exact: log N(x; mu_i - G (m_c - mu_c), Lambda_ii^{-1}) - tr penalty / 2,
-        with m_c and the block-diagonal covariance of the complement factors."""
-        tilted = self.cavi_update(factors, i)
-        blk = self._blocks[i]
-        cov_c = _block_diag([f.covariance for j, f in enumerate(factors) if j != i])
-        b_mat = blk["lam_ic"].T @ blk["cov_i"] @ blk["lam_ic"]   # Lambda_ci cov_i Lambda_ic
-        penalty = 0.5 * float(np.sum(b_mat * cov_c))
-        nodes = self.block_measure(i)[0]
-        return np.asarray(tilted.log_density(nodes.reshape(-1, 1))) - penalty
-
-    def product_kl(self, factors, i: int | None = None) -> float:
-        """Closed-form KL from the block-diagonal product Gaussian."""
+    def _block_factors(self, factors) -> list[GaussianFactor]:
+        """The factors, if they are Gaussian, one per block, each of its block's dimension."""
         factors = _gaussian_factors(factors)
         if len(factors) != self._decomposition.n_blocks:
             raise ValueError("need one factor per block")
         for j, (factor, dim) in enumerate(zip(factors, self._decomposition.block_dims)):
             if factor.dim != dim:
                 raise ValueError(f"block {j} has dimension {dim}, its factor {factor.dim}")
+        return factors
+
+    def tilt(self, factors, i: int) -> tuple[GaussianFactor, float]:
+        """Analytic: the log full conditional is quadratic in theta_-i, so its
+        expectation under Gaussian complement factors is the full conditional
+        at their means, log N(x; mu_i - G (m_c - mu_c), Lambda_ii^{-1}), less
+        penalty = tr(Lambda_ci Lambda_ii^{-1} Lambda_ic C) / 2, with C their
+        block-diagonal covariance. So the update is that full conditional and
+        log Z_i = -penalty. With delta = m - mu the fixed point solves
+        (Lambda delta)_i = 0 for every block, so it is the full conditional at
+        the posterior mean."""
+        others = [f for j, f in enumerate(self._block_factors(factors)) if j != i]
+        blk = self._blocks[self._decomposition.check_index(i)]
+        b_mat = blk["lam_ic"].T @ blk["cov_i"] @ blk["lam_ic"]   # Lambda_ci cov_i Lambda_ic
+        penalty = 0.5 * float(np.sum(b_mat * _block_diag([f.covariance for f in others])))
+        return self.full_conditional(i, np.concatenate([f.mean for f in others])), -penalty
+
+    def product_kl(self, factors, i: int | None = None) -> float:
+        """Closed-form KL from the block-diagonal product Gaussian."""
+        factors = self._block_factors(factors)
         if i is not None:
             self._decomposition.check_index(i)
         keep = [j for j in range(self._decomposition.n_blocks) if j != i]

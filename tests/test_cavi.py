@@ -78,7 +78,7 @@ class TestCaviUpdate:
         model = DiscreteTarget(TABLE)
         u = DiscreteFactor([0.5, 0.5])
         via_engine = cavi_update(model, [u, u], 0)
-        via_model = model.cavi_update([u, u], 0)
+        via_model = model.tilt([u, u], 0)[0]
         np.testing.assert_array_equal(via_engine.pmf, via_model.pmf)
 
     def test_grid_path_matches_analytic_to_1e10(self):

@@ -24,6 +24,7 @@ from duality_bench import (
     ModelError,
     TargetModel,
     build_report,
+    cavi_update,
     make_decomposition,
     run_cavi,
     run_chain,
@@ -252,6 +253,25 @@ def test_product_kl_checks_the_block_index_and_the_factor_count(make_model):
     for wrong in (factors[:1], [*factors, factors[0]]):
         with pytest.raises(ValueError, match="need one factor per block"):
             model.product_kl(wrong)
+
+
+def gaussian_1_1_2():
+    return GaussianTarget([0.1, -0.3, 0.2, 0.0], np.eye(4) + 0.2, make_decomposition([1, 1, 2]))
+
+
+@pytest.mark.parametrize("make_model", [gaussian_1_1_2, zero_cells_3])
+def test_the_closed_form_update_checks_its_factors_as_product_kl_does(make_model):
+    """A wrong factor count, or the factors rotated by one block (dims [1, 2, 1]
+    on blocks [1, 1, 2], whose other blocks' means still add up to each
+    complement's length), raises product_kl's ValueError for every block."""
+    model = make_model()
+    factors = model.initial_factors("default")
+    for wrong in (factors[:-1], [*factors, factors[0]], [*factors[1:], factors[0]]):
+        for i in range(len(factors)):
+            with pytest.raises(ValueError) as expected:
+                model.product_kl(wrong, i)
+            with pytest.raises(ValueError, match=re.escape(str(expected.value))):
+                cavi_update(model, wrong, i)
 
 
 def test_gaussian_product_kl_checks_each_factor_against_its_block():

@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from duality_bench import (
     CaviConfig,
@@ -18,6 +19,7 @@ from duality_bench import (
     ReportOptions,
     SupportError,
     build_report,
+    cavi_update,
     concavity_probe,
     duality_gap,
     duality_suite,
@@ -41,7 +43,7 @@ from duality_bench.diagnostics import (
 )
 from duality_bench.serialize import dumps_json
 
-from oracles import kl_quadrature, normal_logpdf, quad, random_table, trap_weights
+from oracles import kl_quadrature, normal_logpdf, quad, random_spd, random_table, trap_weights
 
 TABLE = np.array([[0.4, 0.1], [0.2, 0.3]])
 
@@ -455,6 +457,53 @@ class TestSquashingConstant:
                                    max_change=0.0)
             for i in range(2):
                 assert 0.0 < squashing_constant(model, state, i) <= 1.0 + 1e-10
+
+
+def tilt_identity_residual(model, factors, i):
+    """log R + KL of the product with factor i replaced by its update, which
+    KL(q_i* x q_-i || pi) = KL(q_-i || pi_-i) - log Z_i makes zero."""
+    state = MeanFieldState(factors=tuple(factors), cycles=0, objective_history=(),
+                           converged=False, max_change=0.0)
+    updated = list(factors)
+    updated[i] = cavi_update(model, factors, i)
+    return np.log(squashing_constant(model, state, i)) + model.product_kl(updated)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_log_r_is_minus_the_kl_after_the_update_on_random_gaussians(seed):
+    """K from 2 to 4 blocks of dims 1 to 3, one CAVI cycle from a
+    standard-normal start, so not at the fixed point."""
+    rng = np.random.default_rng(seed)
+    dims = rng.integers(1, 4, size=rng.integers(2, 5))
+    model = GaussianTarget(rng.standard_normal(dims.sum()), random_spd(rng, dims.sum()),
+                           make_decomposition(dims))
+    state = run_cavi(model, CaviConfig(max_cycles=1, init="standard_normal"))
+    for i in range(dims.size):
+        assert abs(tilt_identity_residual(model, state.factors, i)) <= 1e-12
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_log_r_is_minus_the_kl_after_the_update_on_tables_with_zero_cells(seed):
+    """K from 2 to 4 blocks of 2 to 4 states. Each block has one dead state on
+    which its Dirichlet factor puts no mass; the table is zero on the cell of
+    all dead states and on some cells with at least two, so every complement
+    state with factor mass has a positive conditional row."""
+    rng = np.random.default_rng(seed)
+    sizes = tuple(rng.integers(2, 5, size=rng.integers(2, 5)))
+    dead = [int(rng.integers(n)) for n in sizes]
+    dead_coords = sum(np.indices(sizes)[j] == d for j, d in enumerate(dead))
+    table = random_table(rng, sizes)
+    table[(dead_coords == len(sizes)) | ((dead_coords >= 2) & (rng.random(sizes) < 0.5))] = 0.0
+    model = DiscreteTarget(table / table.sum())
+    factors = []
+    for n, d in zip(sizes, dead):
+        pmf = rng.dirichlet(np.ones(n))
+        pmf[d] = 0.0
+        factors.append(DiscreteFactor(pmf / pmf.sum()))
+    for i in range(len(sizes)):
+        assert abs(tilt_identity_residual(model, factors, i)) <= 1e-12
 
 
 class TestSquashPointwise:

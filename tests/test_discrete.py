@@ -160,14 +160,14 @@ class TestCaviUpdate:
         p1 = np.array([0.3, 0.7])
         p2 = np.array([0.6, 0.4])
         t = DiscreteTarget(np.outer(p1, p2))
-        upd = t.cavi_update([DiscreteFactor([0.5, 0.5]), DiscreteFactor([0.9, 0.1])], 0)
+        upd = t.tilt([DiscreteFactor([0.5, 0.5]), DiscreteFactor([0.9, 0.1])], 0)[0]
         np.testing.assert_allclose(upd.pmf, p1, atol=1e-15)
 
     def test_uniform_complement_frozen_value(self):
         # factor proportional to exp(sum_c 0.5 log pi(x|c)): sqrt(2/3*1/4), sqrt(1/3*3/4)
         t = DiscreteTarget(TABLE)
         u = DiscreteFactor([0.5, 0.5])
-        upd = t.cavi_update([u, u], 0)
+        upd = t.tilt([u, u], 0)[0]
         raw = np.sqrt([(2 / 3) * 0.25, (1 / 3) * 0.75])
         np.testing.assert_allclose(upd.pmf, raw / raw.sum(), atol=1e-15)
         np.testing.assert_allclose(
@@ -176,7 +176,7 @@ class TestCaviUpdate:
     def test_uniform_complement_matches_simplex_grid_minimizer(self):
         t = DiscreteTarget(TABLE)
         u = DiscreteFactor([0.5, 0.5])
-        upd = t.cavi_update([u, u], 0)
+        upd = t.tilt([u, u], 0)[0]
         q_star, _ = minimize_block_kl(TABLE, 0, [u.pmf, u.pmf])
         assert 0.5 * np.abs(upd.pmf - q_star).sum() <= 1e-6
 
@@ -185,11 +185,11 @@ class TestCaviUpdate:
         t = DiscreteTarget(random_table(rng, (3, 4)))
         factors = [DiscreteFactor(np.full(3, 1 / 3)), DiscreteFactor(np.full(4, 1 / 4))]
         for _ in range(200):
-            factors = [t.cavi_update(factors, 0), factors[1]]
-            factors = [factors[0], t.cavi_update(factors, 1)]
-        once = [t.cavi_update(factors, i).pmf for i in range(2)]
+            factors = [t.tilt(factors, 0)[0], factors[1]]
+            factors = [factors[0], t.tilt(factors, 1)[0]]
+        once = [t.tilt(factors, i)[0].pmf for i in range(2)]
         factors2 = [DiscreteFactor(once[0]), DiscreteFactor(once[1])]
-        twice = [t.cavi_update(factors2, i).pmf for i in range(2)]
+        twice = [t.tilt(factors2, i)[0].pmf for i in range(2)]
         for a, b in zip(once, twice):
             assert np.max(np.abs(a - b)) <= 1e-12
 
@@ -197,7 +197,7 @@ class TestCaviUpdate:
         t = DiscreteTarget([[0.5, 0.0], [0.25, 0.25]])
         u = DiscreteFactor([0.5, 0.5])
         with pytest.raises(ModelError, match="zero conditional"):
-            t.cavi_update([u, u], 0)
+            t.tilt([u, u], 0)[0]
 
     def test_random_tables_match_brute_force(self):
         rng = np.random.default_rng(17)
@@ -207,7 +207,7 @@ class TestCaviUpdate:
             t = DiscreteTarget(table)
             factors = [DiscreteFactor(rng.dirichlet(np.ones(n))) for n in sizes]
             for i in range(2):
-                upd = t.cavi_update(factors, i)
+                upd = t.tilt(factors, i)[0]
                 q_star, best = minimize_block_kl(table, i, [f.pmf for f in factors])
                 assert 0.5 * np.abs(upd.pmf - q_star).sum() <= 1e-6
                 # the update can only do at least as well as the grid search
