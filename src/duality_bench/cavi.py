@@ -14,12 +14,17 @@ update paths share that contract:
 The engine takes the path it is given: "auto" takes the target's
 closed-form update and factors (ModelError on a target without them), and
 "grid" tabulates, asking the target its block layout and measures,
-``is_discrete`` and ``log_density_table``. The grids are fixed for a run and
-only the factors' weights change between updates, so a grid run tabulates the
-log density once, on the tensor grid of all blocks' nodes, and each update
-contracts that table against the other factors' weights, one axis at a time
-and without BLAS: K contractions per cycle, the first of them the starting
-objective's. The CAVI objective is a KL because
+``is_discrete`` and ``log_density_terms``. The grids are fixed for a run and
+only the factors' weights change between updates, so a grid run asks for the
+log density once, on the tensor grid of all blocks' nodes, as a sum of
+products of arrays that each span only the axes they depend on, and each
+update contracts every array against the other factors' weights on its own
+axes, one axis at a time and without BLAS: K contractions per cycle, the
+first of them the starting objective's. E_{q_-i}[log pi] thus depends on the
+other factors only through the expected statistics of the terms that couple
+block i to them (variational message passing): a target whose log density
+is a quadratic form, like the Gaussian's, never builds its dense table. The
+CAVI objective is a KL because
 ``TargetModel.log_density`` is normalized. The engine is deterministic: there
 is no randomness beyond the initializer, and the default initializers are
 deterministic (exact marginals for Gaussian models, uniform for discrete,
@@ -29,7 +34,9 @@ standard normal tables for the grid path).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -49,10 +56,11 @@ __all__ = [
     "state_from_jsonable",
 ]
 
-# Bound on the grid path's log-joint table (the product of all blocks' grid
-# sizes), which a run holds in memory: two 4097-node blocks fit (4097^2 cells,
-# 134 MB), as do three blocks of up to 322 nodes. Both log_density_table routes
-# add only a cache-sized chunk of rows (core.TABLE_CHUNK_POINTS) of temporaries.
+# Bound on the product of all blocks' grid sizes on the grid path, for every
+# target: it guards the memory of a dense log-joint table (the default
+# log_density_terms), which a run holds whole. Two 4097-node blocks fit (4097^2
+# cells, 134 MB), as do three blocks of up to 322 nodes; the fill adds only a
+# cache-sized chunk of rows (core.TABLE_CHUNK_POINTS) of temporaries.
 MAX_TABLE_CELLS = 2**25
 
 
@@ -101,8 +109,8 @@ class MeanFieldState:
 def check_grid_path(model: TargetModel, factors=None) -> list[np.ndarray]:
     """The grid path's grids, one per block: the factors' grids, by default
     the block measures' nodes. ModelError unless the model has continuous 1-D
-    blocks and the log-joint table over the grids has at most MAX_TABLE_CELLS
-    cells; no density is evaluated."""
+    blocks and the tensor grid has at most MAX_TABLE_CELLS cells; no density
+    is evaluated."""
     if model.is_discrete:
         raise ModelError("the grid path needs continuous blocks; discrete models use \"auto\"")
     if any(d != 1 for d in model.decomposition.block_dims):
@@ -116,27 +124,40 @@ def check_grid_path(model: TargetModel, factors=None) -> list[np.ndarray]:
     return grids
 
 
-def _log_joint_table(model: TargetModel, factors) -> np.ndarray:
-    """log_density on the tensor grid of the factors' nodes, axis j on block j's."""
-    return model.log_density_table(check_grid_path(model, factors))
+def _log_joint_terms(model: TargetModel, factors) -> list[tuple[np.ndarray, ...]]:
+    """log_density on the tensor grid of the factors' nodes, axis j on block j's,
+    as the target's separable terms (``TargetModel.log_density_terms``)."""
+    return model.log_density_terms(check_grid_path(model, factors))
 
 
-def _expected_log_joint(table: np.ndarray, factors, i: int) -> np.ndarray:
+def _expected_log_joint(terms, factors, i: int) -> np.ndarray:
     """E over the grid factors j != i of log joint(x, theta_-i), at the nodes x
-    of factor i's grid: the table contracted against each other factor's
-    normalized trapezoid weights, one axis at a time from the last. The sums
-    run in numpy's own einsum loops, not BLAS, so their bits do not depend on
-    the number of BLAS threads.
+    of factor i's grid: each array of each term contracted, along every axis
+    j != i where it has more than one node, against factor j's normalized
+    trapezoid weights, one axis at a time from the last; then each term's
+    arrays multiplied and the terms summed. One dense table is thus contracted
+    exactly as a table. The sums run in numpy's own einsum loops, not BLAS, so
+    their bits do not depend on the number of BLAS threads.
 
     Block i's update is its exp, renormalized (E[log pi(x | theta_-i)] differs
     by a constant in x); the objective's cross term is its q_i-mean.
     """
-    expected = table
-    for j in reversed(range(len(factors))):
+    masses = {}
+    for j, f in enumerate(factors):
         if j != i:
-            w = trapezoid_weights(factors[j].grid) * factors[j].values
-            axes = list(range(expected.ndim))
-            expected = np.einsum(expected, axes, w / w.sum(), [j], axes[:j] + axes[j + 1:])
+            w = trapezoid_weights(f.grid) * f.values
+            masses[j] = w / w.sum()
+
+    def contract(array):
+        for j in reversed(range(array.ndim)):
+            if j != i:
+                axes = list(range(array.ndim))
+                array = (np.einsum(array, axes, masses[j], [j], axes[:j] + axes[j + 1:])
+                         if array.shape[j] > 1 else np.squeeze(array, axis=j))
+        return array
+
+    expected = reduce(operator.add, (reduce(operator.mul, map(contract, term))
+                                     for term in terms))
     if not np.all(np.isfinite(expected)):
         if np.isnan(expected).any():   # -inf times a zero weight
             raise ModelError(f"block {i} update: the log density is -inf on cells where "
@@ -151,14 +172,15 @@ def cavi_update(model: TargetModel, factors, i: int, path: str = "auto"):
     Returns a normalized factor of the same representation family: the
     factor of the target's tilt (``TargetModel.tilt``) on the "auto" path,
     exp(E_i) renormalized on the grid path (E_i from ``_expected_log_joint``),
-    where each call tabulates the log joint afresh. Never increases the KL
-    objective (coordinate descent on the divergence to the posterior).
+    where each call asks the target for its log-joint terms afresh. Never
+    increases the KL objective (coordinate descent on the divergence to the
+    posterior).
     """
     model.decomposition.check_index(i)
     if path == "auto":
         return model.tilt(factors, i)[0]
     if path == "grid":
-        expected = _expected_log_joint(_log_joint_table(model, factors), factors, i)
+        expected = _expected_log_joint(_log_joint_terms(model, factors), factors, i)
         return GridFactor.from_log_values(factors[i].grid, expected)
     raise ValueError(f"unknown path {path!r}")
 
@@ -186,13 +208,13 @@ def run_cavi(model: TargetModel, config: CaviConfig,
     """
     factors = list(initial_factors(model, config) if init_factors is None else init_factors)
     if config.path == "grid":
-        # the grids are fixed for the run: tabulate once, contract per update;
-        # the starting objective's E_0 is block 0's first update's
-        table = _log_joint_table(model, factors)
-        expected = _expected_log_joint(table, factors, 0)
+        # the grids are fixed for the run: take the terms once, contract per
+        # update; the starting objective's E_0 is block 0's first update's
+        terms = _log_joint_terms(model, factors)
+        expected = _expected_log_joint(terms, factors, 0)
         history = [_grid_kl(factors, 0, expected)]
     else:
-        table = expected = None
+        terms = expected = None
         history = [kl_objective(model, factors)]
     cycles = 0
     converged = False
@@ -200,9 +222,9 @@ def run_cavi(model: TargetModel, config: CaviConfig,
     for _ in range(config.max_cycles):
         change = 0.0
         for i in range(model.decomposition.n_blocks):
-            if table is not None and (cycles or i):
-                expected = _expected_log_joint(table, factors, i)
-            new = (cavi_update(model, factors, i) if table is None
+            if terms is not None and (cycles or i):
+                expected = _expected_log_joint(terms, factors, i)
+            new = (cavi_update(model, factors, i) if terms is None
                    else GridFactor.from_log_values(factors[i].grid, expected))
             change = max(change, factors[i].change(new))
             factors[i] = new
@@ -226,21 +248,21 @@ def kl_objective(model: TargetModel, factors) -> float:
     """KL(product of factors || posterior), >= 0.
 
     For grid factors, the tensor-quadrature form of :func:`_grid_kl` on block
-    0's expectation, from a log-joint table this call builds (any K within
+    0's expectation, from log-joint terms this call asks for (any K within
     MAX_TABLE_CELLS); the target's closed form (``TargetModel.product_kl``)
-    otherwise. ``run_cavi`` does not call it on the grid path: it builds one
-    table per run and takes each objective from the expectation its update
-    has just contracted.
+    otherwise. ``run_cavi`` does not call it on the grid path: it asks for the
+    terms once per run and takes each objective from the expectation its
+    update has just contracted.
     """
     factors = list(factors)
     if all(isinstance(f, GridFactor) for f in factors):
-        table = _log_joint_table(model, factors)
-        return _grid_kl(factors, 0, _expected_log_joint(table, factors, 0))
+        terms = _log_joint_terms(model, factors)
+        return _grid_kl(factors, 0, _expected_log_joint(terms, factors, 0))
     return model.product_kl(factors)
 
 
 def _grid_kl(factors, i: int, expected: np.ndarray) -> float:
-    """KL of grid factors from E_i = ``_expected_log_joint(table, factors, i)``:
+    """KL of grid factors from E_i = ``_expected_log_joint(terms, factors, i)``:
     sum_j E_qj[log q_j] - E_qi[E_i] (no log Z: the target is normalized)."""
     masses = [f.weights * f.values for f in factors]
     entropy_terms = sum(float(np.sum(m[m > 0] * f.log_values[m > 0]))

@@ -10,9 +10,10 @@ runs. A family supplies the densities the duality checks are stated over,
 each as one primitive:
 
 - ``log_density``: the normalized log posterior, at a point or at each row
-  of a sample array, and ``log_density_table``: the same on a tensor grid
-  (the grid CAVI path's table), filled in cache-sized chunks of rows, by
-  default from ``log_density``;
+  of a sample array, and ``log_density_terms``: the same on a tensor grid
+  as a sum of products of arrays that each span only the axes they depend
+  on (the grid CAVI path's input); by default one dense table, filled from
+  ``log_density`` in cache-sized chunks of rows;
 - ``scan``: a whole systematic-scan Gibbs chain, run from a start on noise
   drawn up front;
 - ``block_measure``: nodes and weights for one block (trapezoid weights on a
@@ -57,8 +58,9 @@ __all__ = [
     "make_decomposition",
 ]
 
-# Cells per chunk of rows in which both log_density_table routes fill a table, so
-# that a chunk's temporaries stay in cache; a cell's value does not depend on it.
+# Cells per chunk of rows in which a dense table is filled (the default
+# log_density_terms, GaussianFactor.log_density_table), so that a chunk's
+# temporaries stay in cache; a cell's value does not depend on it.
 TABLE_CHUNK_POINTS = 2**16
 
 
@@ -160,7 +162,7 @@ class TargetModel(ABC):
     Implementations must be immutable and their evaluations pure, so shared
     read-only use from multiple threads is safe. Only the abstract members
     are needed for Gibbs sampling and grid-tabulated CAVI (through the
-    default ``log_density_table``); closed-form CAVI
+    default ``log_density_terms``); closed-form CAVI
     and the diagnostics need the closed-form primitives below, which raise
     :class:`ModelError` on a family that has none.
     """
@@ -179,11 +181,15 @@ class TargetModel(ABC):
         rows of (n, D); -inf where the posterior has no mass, ValueError at a
         point outside the declared support."""
 
-    def log_density_table(self, grids) -> np.ndarray:
+    def log_density_terms(self, grids) -> list[tuple[np.ndarray, ...]]:
         """``log_density`` on the tensor grid of 1-D node arrays, one per
-        coordinate, axis k on ``grids[k]``; by default from one call per chunk
-        of rows of axis 0 (``table_row_chunks``). A subclass overriding
-        ``log_density`` overrides this too."""
+        coordinate, axis k on ``grids[k]``, as a list of terms whose sum it is.
+        A term is a tuple of arrays whose product it is: each broadcasts to the
+        grid's shape with size 1 on every axis it does not depend on, and the
+        arrays of one term depend on disjoint axes. By default one term of one
+        array, the dense table, from one ``log_density`` call per chunk of rows
+        of axis 0 (``table_row_chunks``). A subclass overriding ``log_density``
+        overrides this too."""
         shape = tuple(g.size for g in grids)
         rest_points = np.stack(
             [g.reshape(-1) for g in np.meshgrid(*grids[1:], indexing="ij")], axis=1)
@@ -195,7 +201,7 @@ class TargetModel(ABC):
             pts[:, :, 1:] = rest_points
             lj = np.asarray(self.log_density(pts.reshape(-1, len(grids))), dtype=float)
             table[rows] = lj.reshape(xs.size, *shape[1:])
-        return table
+        return [(table,)]
 
     @abstractmethod
     def full_conditional(self, i: int, complement_values):

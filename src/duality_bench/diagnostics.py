@@ -446,6 +446,13 @@ class DiagnosticsReport:
                                     for b in self.blocks]
 
 
+def _fold(fold, current: float, chunk: float) -> float:
+    """``fold`` (max or min) of a running value and a chunk's, keeping a NaN
+    from either: Python's max and min drop a NaN that comes second, which
+    would let a NaN chunk pass a check. Otherwise ``fold``'s own result."""
+    return chunk if np.isnan(chunk) else fold(current, chunk)
+
+
 def build_report(model: TargetModel, trace: ChainTrace, state: MeanFieldState,
                  options: ReportOptions | None = None) -> DiagnosticsReport:
     """Run every per-block diagnostic and collect its values and check records.
@@ -482,17 +489,18 @@ def build_report(model: TargetModel, trace: ChainTrace, state: MeanFieldState,
         for start in range(0, options.f_candidates, rows):
             qv = model.random_values(i, rng, min(rows, options.f_candidates - start))
             gap = ws.log_bound - ws.value(qv)
-            max_excess = max(max_excess, float(np.max(-gap)))
+            max_excess = _fold(max, max_excess, float(np.max(-gap)))
             distant = ws.tv_from_conditional(qv) > 1e-4   # distant from the conditional
-            min_distant_gap = min(min_distant_gap,
-                                  float(np.min(gap, where=distant, initial=np.inf)))
+            min_distant_gap = _fold(min, min_distant_gap,
+                                    float(np.min(gap, where=distant, initial=np.inf)))
         mix_weights = rng.uniform(0, 1, size=options.concavity_mixtures)
         min_slack = np.inf
         pairs = max(1, rows // 2)   # mixtures per chunk: each draws a p and a q row
         for start in range(0, mix_weights.size, pairs):
             a = mix_weights[start:start + pairs]
             pq = model.random_values(i, rng, 2 * a.size)
-            min_slack = min(min_slack, float(np.min(ws.concavity_slack(pq[0::2], pq[1::2], a))))
+            min_slack = _fold(min, min_slack,
+                              float(np.min(ws.concavity_slack(pq[0::2], pq[1::2], a))))
         info = information_equality_check(model, i, method=options.info_method)
         r_value = squashing_constant(model, state, i)
         squash_slack = squash_pointwise_check(

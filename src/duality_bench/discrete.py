@@ -31,11 +31,14 @@ INPUT_MASS_TOL = 1e-9
 SCAN_CHUNK_ROWS = 256  # noise rows a table scan holds as Python floats at once, to bound its memory
 
 
-def _xlogy(p: np.ndarray, logq: np.ndarray) -> np.ndarray:
-    """p * logq with the 0 * log 0 = 0 convention."""
+def _xlogy(p: np.ndarray, log_num, log_den=0.0) -> np.ndarray:
+    """p * (log_num - log_den), both logs broadcast to p's shape, with the
+    0 * log 0 = 0 convention: the difference is taken only where p > 0, so a
+    state without mass never forms -inf - -inf."""
     out = np.zeros_like(p)
     mask = p > 0
-    out[mask] = p[mask] * logq[mask]
+    out[mask] = p[mask] * (np.broadcast_to(log_num, p.shape)[mask]
+                           - np.broadcast_to(log_den, p.shape)[mask])
     return out
 
 
@@ -270,23 +273,22 @@ class DiscreteTarget(TargetModel):
         p_i = self._table.sum(axis=tuple(j for j in range(self._table.ndim) if j != i))
         shape = [1] * self._table.ndim
         shape[i] = self._table.shape[i]
-        log_cond = _safe_log(self._table) - _safe_log(p_i.reshape(shape))
-        return -float(np.sum(_xlogy(self._table, log_cond)))
+        return -float(np.sum(_xlogy(self._table, _safe_log(self._table),
+                                    _safe_log(p_i.reshape(shape)))))
 
     def conditional_entropy_block(self, i: int) -> float:
         """H(theta_i | theta_-i)."""
         self._decomposition.check_index(i)
         rows, mass = self._cond[i]["rows"], self._cond[i]["mass"]
-        log_cond = _safe_log(rows) - _safe_log(mass)[:, None]
-        return -float(np.sum(_xlogy(rows, log_cond)))
+        return -float(np.sum(_xlogy(rows, _safe_log(rows), _safe_log(mass)[:, None])))
 
     def mutual_information(self, i: int) -> float:
         """I(theta_i; theta_-i) = KL(joint || product of the two marginals)."""
         p_i = self.marginal(i).pmf
         p_c = self.complement_marginal(i).pmf
         joint = self._cond[i]["rows"]
-        log_ratio = _safe_log(joint) - (_safe_log(p_c)[:, None] + _safe_log(p_i)[None, :])
-        return float(np.sum(_xlogy(joint, log_ratio)))
+        return float(np.sum(_xlogy(joint, _safe_log(joint),
+                                   _safe_log(p_c)[:, None] + _safe_log(p_i)[None, :])))
 
     def information_equality(self, i: int, method: str = "auto") -> InfoEquality:
         """Exact summation, the one route of a table: ModelError for any
@@ -355,9 +357,7 @@ class DiscreteTarget(TargetModel):
     def product_kl(self, factors, i: int | None = None) -> float:
         q = self._factor_product(factors, i)
         pi = self._table.reshape(-1) if i is None else self.complement_marginal(i).pmf
-        with np.errstate(invalid="ignore"):   # log 0 - log 0 where q has no mass; _xlogy drops it
-            log_ratio = _safe_log(q) - _safe_log(pi)
-        return float(np.sum(_xlogy(q, log_ratio)))
+        return float(np.sum(_xlogy(q, _safe_log(q), _safe_log(pi))))
 
     def block_kl_terms(self, factor, i: int) -> tuple[float, float]:
         if not isinstance(factor, DiscreteFactor):
@@ -365,14 +365,15 @@ class DiscreteTarget(TargetModel):
         self._decomposition.check_index(i)
         rows = self._cond[i]["rows"]   # (c, x)
         marg_i = self.marginal(i).pmf
-        log_cond_c = _safe_log(rows) - _safe_log(marg_i)[None, :]    # log pi(c|x)
         mask = factor.pmf > 0
         if np.any(mask & (marg_i <= 0)):
             raise SupportError("factor mass outside the block marginal support")
-        expected = log_cond_c[:, mask] @ factor.pmf[mask]
+        # log pi(c|x) on the factor's states, where the marginal has mass
+        log_cond_c = _safe_log(rows[:, mask]) - _safe_log(marg_i[mask])[None, :]
+        expected = log_cond_c @ factor.pmf[mask]
         finite = np.isfinite(expected)
         raw = logsumexp(expected[finite]) if np.any(finite) else -np.inf
-        return raw, float(np.sum(_xlogy(factor.pmf, _safe_log(factor.pmf) - _safe_log(marg_i))))
+        return raw, float(np.sum(_xlogy(factor.pmf, _safe_log(factor.pmf), _safe_log(marg_i))))
 
     # --- candidates and report echo ------------------------------------------
 

@@ -312,9 +312,23 @@ class GaussianTarget(TargetModel):
         """Normalized log posterior; accepts (D,) or (n, D)."""
         return self._joint.log_density(theta)
 
-    def log_density_table(self, grids) -> np.ndarray:
-        """Coordinate by coordinate on the grids' own axes (``GaussianFactor``)."""
-        return self._joint.log_density_table(grids)
+    def log_density_terms(self, grids) -> list[tuple[np.ndarray, ...]]:
+        """The quadratic form's 1 + D + D(D-1)/2 terms, with delta_k the grid
+        offset from the mean on axis k: the normalizer -(D log 2 pi + log det
+        Sigma) / 2, -Lambda_kk delta_k^2 / 2 for each k, and the pair
+        (-Lambda_kl delta_k, delta_l) for each k < l. No array spans more than
+        one axis."""
+        d = self._decomposition.total_dim
+        if len(grids) != d:
+            raise ValueError(f"{len(grids)} grids, target has dim {d}")
+        lam = self._precision
+        deltas = [(np.asarray(g, dtype=float) - m).reshape((1,) * k + (-1,) + (1,) * (d - 1 - k))
+                  for k, (g, m) in enumerate(zip(grids, self._mean))]
+        terms = [(np.full((1,) * d, -0.5 * (d * _LOG_2PI + self._joint._log_det)),)]
+        terms += [(-0.5 * lam[k, k] * delta * delta,) for k, delta in enumerate(deltas)]
+        terms += [(-lam[k, l] * deltas[k], deltas[l])
+                  for k in range(d) for l in range(k + 1, d)]
+        return terms
 
     def full_conditional(self, i: int, complement_values) -> GaussianFactor:
         """N(mu_i - Lambda_ii^{-1} Lambda_ic (x_c - mu_c), Lambda_ii^{-1})."""
@@ -408,7 +422,7 @@ class GaussianTarget(TargetModel):
         g2 = gaussian_grid(self._mean[1], np.sqrt(self._cov[1, 1]), GRID_POINTS_2D)
         x_i, x_c = (g1, g2) if i == 0 else (g2, g1)
         w2 = tensor_weights(x_i, x_c)
-        log_joint = self.log_density_table((g1, g2))
+        log_joint = self._joint.log_density_table((g1, g2))
         if i == 1:   # C order, so the sums below keep their order
             log_joint = log_joint.T.copy()
         log_m_i = np.asarray(self.marginal(i).log_density(x_i.reshape(-1, 1)))

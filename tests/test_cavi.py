@@ -1,10 +1,15 @@
 """Coordinate-ascent engine: updates, convergence, objective monotonicity,
 and equivalence of the analytic / summation / grid paths."""
 
+import operator
+import tracemalloc
+from functools import reduce
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from duality_bench import (
     CaviConfig,
@@ -20,7 +25,7 @@ from duality_bench import (
     make_decomposition,
     run_cavi,
 )
-from duality_bench.cavi import state_from_jsonable, state_to_jsonable
+from duality_bench.cavi import initial_factors, state_from_jsonable, state_to_jsonable
 
 from oracles import (
     cavi_fixed_point,
@@ -305,7 +310,7 @@ def grid_run(model, n=65, target=None):
 
 class RowsOnly(TargetModel):
     """Forwards only the abstract members of ``inner``, so the grid path fills
-    its table from rows of ``log_density`` (the default ``log_density_table``)."""
+    a dense table from rows of ``log_density`` (the default ``log_density_terms``)."""
 
     def __init__(self, inner):
         self.inner = inner
@@ -349,12 +354,12 @@ class TestGridTable:
                                                            monkeypatch):
         import duality_bench.core as core
 
-        target = model
         if chunked:
             # the default fill, two rows of block 0 at a time
             complement = n ** (model.decomposition.n_blocks - 1)
             monkeypatch.setattr(core, "TABLE_CHUNK_POINTS", 2 * complement)
-            target = RowsOnly(model)
+        # the dense route: the Gaussian's own terms round differently
+        target = RowsOnly(model)
         init = grid_start(model, n)
         state = grid_run(model, n, target)
         values, history = reference_grid_run(
@@ -371,8 +376,8 @@ class TestGridTable:
                             lambda theta: rows.append(len(theta)) or model.log_density(theta))
         assert grid_run(model, target=bare).cycles >= 2
         assert sum(rows) == 65 ** model.decomposition.n_blocks
-        tabulate = model.log_density_table
-        monkeypatch.setattr(model, "log_density_table",
+        tabulate = model.log_density_terms
+        monkeypatch.setattr(model, "log_density_terms",
                             lambda grids: tables.append(len(grids)) or tabulate(grids))
         assert grid_run(model).cycles >= 2
         assert tables == [model.decomposition.n_blocks]
@@ -398,7 +403,7 @@ class TestGridTable:
         model = bivariate(0.5)
         rows = []
         monkeypatch.setattr(model, "log_density", rows.append)
-        monkeypatch.setattr(model, "log_density_table", rows.append)
+        monkeypatch.setattr(model, "log_density_terms", rows.append)
         # the reference 4097-node grids fit; two 8193-node grids do not
         assert 4097**2 <= MAX_TABLE_CELLS < 8193**2
         g = np.linspace(-8.0, 8.0, 8193)
@@ -434,6 +439,55 @@ class TestGridTable:
         match = "block 0 update: the log density is -inf on cells where the other factors have zero mass"
         with pytest.raises(ModelError, match=match):
             run_cavi(model, CaviConfig(path="grid"), start)
+
+
+@st.composite
+def grid_gaussians(draw):
+    """(model, n): K from 2 to 4 1-D blocks, covariance A A^T + 0.5 I with A's
+    entries in [-1, 1], mean in [-2, 2], and 17 to 65 nodes per block, at most
+    2^17 cells in all (so at most 19 nodes on four blocks)."""
+    k = draw(st.integers(2, 4))
+    a = draw(arrays(float, (k, k), elements=st.floats(-1.0, 1.0)))
+    mean = draw(arrays(float, k, elements=st.floats(-2.0, 2.0)))
+    n = draw(st.integers(17, min(65, int(2 ** (17 / k)))))
+    return GaussianTarget(mean, a @ a.T + 0.5 * np.eye(k), make_decomposition([1] * k)), n
+
+
+class TestGridTerms:
+    @settings(derandomize=True, max_examples=25, deadline=None, database=None)
+    @given(spec=grid_gaussians())
+    def test_the_gaussian_terms_match_per_update_evaluation(self, spec):
+        model, n = spec
+        k = model.decomposition.n_blocks
+        grids = [model.block_measure(i, n)[0] for i in range(k)]
+        total = reduce(operator.add, (reduce(operator.mul, term)
+                                      for term in model.log_density_terms(grids)))
+        rows = np.stack([m.reshape(-1) for m in np.meshgrid(*grids, indexing="ij")], axis=1)
+        np.testing.assert_allclose(total, model.log_density(rows).reshape(total.shape),
+                                   rtol=0, atol=1e-12)
+        init = [GridFactor(g, np.exp(-0.5 * g**2)) for g in grids]
+        state = run_cavi(model, CaviConfig(max_cycles=30, tolerance=1e-10, path="grid"), init)
+        values, history = reference_grid_run(model, grids, [f.values for f in init], 30, 1e-10)
+        assert len(state.objective_history) == len(history) == 1 + k * state.cycles
+        np.testing.assert_allclose(state.objective_history, history, rtol=0, atol=1e-12)
+        for factor, want in zip(state.factors, values):
+            np.testing.assert_allclose(factor.values, want, rtol=0, atol=1e-12)
+
+    def test_a_gaussian_grid_run_holds_no_table(self):
+        # the benchmark's model on its 4097-node block measures: a dense
+        # table of the grid would be 134 MB
+        model = GaussianTarget([0.0, 0.0], [[1.0, 1.0], [1.0, 4.0]], make_decomposition([1, 1]))
+        config = CaviConfig(max_cycles=200, tolerance=1e-10, path="grid")
+        start = initial_factors(model, config)
+        assert [f.grid.size for f in start] == [4097, 4097]
+        tracemalloc.start()
+        try:
+            state = run_cavi(model, config, start)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert state.converged
+        assert peak < 8 * 2**20
 
 
 class TestGridObjectiveReuse:

@@ -334,6 +334,28 @@ class TestBatchedSuite:
             texts.add(dumps_json(build_report(model, trace, state, options).to_jsonable()))
         assert len(texts) == 1
 
+    def test_a_nan_slack_in_a_later_chunk_fails_concavity(self, monkeypatch):
+        # Python's min keeps a running inf against a NaN that comes second
+        model = bivariate(0.5)
+        trace = run_chain(model, GibbsConfig(n_cycles=2_000, burn_in=100, seed=2))
+        slack = _FunctionalWorkspace.concavity_slack
+        chunks = []
+
+        def nan_in_the_second_chunk(self, pv, qv, a):
+            out = slack(self, pv, qv, a)
+            chunks.append(self.i)
+            if chunks.count(self.i) == 2:
+                out[0] = np.nan
+            return out
+
+        monkeypatch.setattr(_FunctionalWorkspace, "concavity_slack", nan_in_the_second_chunk)
+        report = build_report(model, trace, converged_state(model),
+                              ReportOptions(concavity_mixtures=17))
+        assert chunks.count(0) > 2
+        for block in report.blocks:
+            assert np.isnan(block.values["concavity_min_slack"])
+            assert [c.ok for c in block.checks if c.name == "concavity"] == [False]
+
     def test_mixture_mass_off_one_raises_on_a_row_and_in_a_batch(self):
         ws = workspaces(bivariate(0.5))[0]
         rows = bivariate(0.5).random_values(0, np.random.default_rng(1), 3)

@@ -5,7 +5,8 @@ import re
 import numpy as np
 import pytest
 
-from duality_bench import ChainTrace, DiscreteFactor, DiscreteTarget, ModelError, ZeroMassError
+from duality_bench import (ChainTrace, DiscreteFactor, DiscreteTarget, InfoEquality, ModelError,
+                           ZeroMassError)
 from duality_bench.diagnostics import info_monte_carlo
 
 from oracles import minimize_block_kl, product_kl_vs_table, random_table
@@ -138,6 +139,23 @@ class TestInformationQuantities:
         with pytest.raises(IndexError):
             t.conditional_entropy_complement(i)
 
+    @pytest.mark.parametrize("table", [
+        [[0.5, 0.5], [0.0, 0.0]],
+        [[[0.1, 0.2], [0.3, 0.1]], [[0.2, 0.1], [0.0, 0.0]]],
+        [[[0.0, 0.0], [0.5, 0.1]], [[0.0, 0.0], [0.2, 0.2]]],
+    ], ids=["2x2-zero-row", "2x2x2-zero-row", "2x2x2-zero-rows"])
+    def test_zero_mass_states_raise_no_warning(self, table):
+        # warnings are errors here: no -inf - -inf is formed where a state has no mass
+        t = DiscreteTarget(table)
+        for i in range(t.decomposition.n_blocks):
+            info = t.information_equality(i)
+            assert info.residual <= 1e-15 and info.symmetric_residual <= 1e-15
+            raw, kl = t.block_kl_terms(t.marginal(i), i)
+            assert raw <= 1e-15 and kl == 0.0
+        if len(table) == 2 and np.ndim(table) == 2:
+            assert t.information_equality(0) == InfoEquality(
+                0.0, np.log(2.0), np.log(2.0), 0.0, 0.0, method="enumeration")
+
     def test_uniform_entropy_is_log_n(self):
         t = DiscreteTarget(np.full((4, 3), 1.0 / 12))
         assert t.marginal(0).entropy() == pytest.approx(np.log(4), abs=1e-15)
@@ -198,6 +216,20 @@ class TestCaviUpdate:
         u = DiscreteFactor([0.5, 0.5])
         with pytest.raises(ModelError, match="zero conditional"):
             t.tilt([u, u], 0)[0]
+
+    def test_the_tilt_at_a_point_mass_complement_is_the_full_conditional(self):
+        # Gibbs draws from the coordinate tilt of a complement known exactly
+        rng = np.random.default_rng(16)
+        for _ in range(200):
+            sizes = tuple(rng.integers(2, 5, size=rng.integers(2, 4)))
+            t = DiscreteTarget(random_table(rng, sizes))
+            state = [int(rng.integers(n)) for n in sizes]
+            factors = [DiscreteFactor(np.eye(n)[s]) for n, s in zip(sizes, state)]
+            for i in range(len(sizes)):
+                q, log_z = t.tilt(factors, i)
+                conditional = t.full_conditional(i, np.delete(state, i))
+                assert np.max(np.abs(q.pmf - conditional.pmf)) <= 1e-15
+                assert abs(log_z) <= 1e-15
 
     def test_random_tables_match_brute_force(self):
         rng = np.random.default_rng(17)

@@ -240,6 +240,31 @@ class TestCaviFixedPoint:
             np.testing.assert_allclose(upd.mean, fps[i].mean, atol=1e-10)
             np.testing.assert_allclose(upd.covariance, fps[i].covariance, atol=1e-10)
 
+    def test_the_tilt_tends_to_the_full_conditional_as_the_complement_shrinks(self):
+        # Gibbs's draw is the tilt at a point-mass complement: the update is the
+        # full conditional at the complement means, and log Z_i is linear in
+        # the complement covariances, so it falls to 0 with them
+        rng = np.random.default_rng(16)
+        scales = np.array([1.0, 1e-2, 1e-4, 1e-6])
+        for dims in ([1, 1], [1, 1, 1], [1, 2]):
+            d = sum(dims)
+            t = GaussianTarget(rng.standard_normal(d), random_spd(rng, d), make_decomposition(dims))
+            means = [rng.standard_normal(n) for n in dims]
+            covs = [random_spd(rng, n) for n in dims]
+            for i in range(len(dims)):
+                conditional = t.full_conditional(
+                    i, np.concatenate([m for j, m in enumerate(means) if j != i]))
+                log_z = []
+                for scale in scales:
+                    factors = [GaussianFactor(m, c if j == i else scale * c)
+                               for j, (m, c) in enumerate(zip(means, covs))]
+                    q, lz = t.tilt(factors, i)
+                    assert q.mean.tobytes() == conditional.mean.tobytes()
+                    assert q.covariance.tobytes() == conditional.covariance.tobytes()
+                    log_z.append(lz)
+                assert log_z[0] < 0.0
+                np.testing.assert_allclose(np.array(log_z) / scales, log_z[0], rtol=1e-12)
+
     def test_fixed_point_variance_below_marginal(self):
         rng = np.random.default_rng(29)
         for _ in range(20):
@@ -288,7 +313,7 @@ def tabulated_models(draw):
 @given(spec=tabulated_models())
 def test_log_density_table_is_log_density_at_the_grid_rows_bit_for_bit(spec):
     mean, cov, grids = spec
-    model = GaussianTarget(mean, cov, make_decomposition([1] * len(grids)))
+    model = GaussianFactor(mean, cov)
     rows = np.stack([m.reshape(-1) for m in np.meshgrid(*grids, indexing="ij")], axis=1)
     table = model.log_density_table(grids)
     assert table.shape == tuple(g.size for g in grids)
@@ -313,6 +338,7 @@ def test_both_table_routes_are_log_density_across_chunk_boundaries(sizes, chunk_
     grids = [np.linspace(-4.0 - k, 3.0 + k, n) for k, n in enumerate(sizes)]
     rows = np.stack([m.reshape(-1) for m in np.meshgrid(*grids, indexing="ij")], axis=1)
     expected = model.log_density(rows).tobytes()
-    for table in (model.log_density_table(grids), TargetModel.log_density_table(model, grids)):
+    [(default,)] = TargetModel.log_density_terms(model, grids)
+    for table in (GaussianFactor(model.mean, model.covariance).log_density_table(grids), default):
         assert table.shape == sizes
         assert table.tobytes() == expected
