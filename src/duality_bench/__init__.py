@@ -59,4 +59,4 @@ from duality_bench.gibbs import (
 )
 from duality_bench.quadrature import Factor, GridFactor
 
-__version__ = "0.1.10"
+__version__ = "0.1.11"

@@ -165,8 +165,7 @@ def _load_state_file(path: str, model):
         state = state_from_jsonable(data)
         if len(state.factors) != n_blocks:
             raise ValueError(f"{len(state.factors)} factors for {n_blocks} blocks")
-        with np.errstate(invalid="ignore"):   # log 0 - log 0 on cells without mass
-            kl = model.product_kl(state.factors)
+        kl = model.product_kl(state.factors)
         if not np.isfinite(kl):
             raise ValueError(f"the factor product has KL {kl} to the target "
                              "(mass where the target has none)")

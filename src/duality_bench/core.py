@@ -59,8 +59,9 @@ __all__ = [
 ]
 
 # Cells per chunk of rows in which a dense table is filled (the default
-# log_density_terms, GaussianFactor.log_density_table), so that a chunk's
-# temporaries stay in cache; a cell's value does not depend on it.
+# log_density_terms, GaussianFactor.log_density_table) or summed (the Gaussian
+# quadrature information), so that a chunk's temporaries stay in cache; a
+# cell's value does not depend on it.
 TABLE_CHUNK_POINTS = 2**16
 
 

@@ -26,7 +26,6 @@ from duality_bench.quadrature import (
     Factor,
     gaussian_grid,
     normalized_on,
-    tensor_weights,
     trapezoid_weights,
 )
 
@@ -418,23 +417,34 @@ class GaussianTarget(TargetModel):
         raise ValueError(f"unknown method {method!r}")
 
     def _info_quadrature(self, i: int) -> InfoEquality:
+        """The three double sums by trapezoid rule on the 513^2 tensor grid
+        (rows on theta_i), one chunk of rows at a time (``table_row_chunks``):
+        per chunk the log joint, its exp and the weighted joint once, and
+        a = log joint - log m_i for both the MI and H(theta_-i | theta_i).
+        A cell's terms do not depend on the chunks, whose partial sums are
+        added in order. The 1-D entropies are sums over one axis."""
         g1 = gaussian_grid(self._mean[0], np.sqrt(self._cov[0, 0]), GRID_POINTS_2D)
         g2 = gaussian_grid(self._mean[1], np.sqrt(self._cov[1, 1]), GRID_POINTS_2D)
         x_i, x_c = (g1, g2) if i == 0 else (g2, g1)
-        w2 = tensor_weights(x_i, x_c)
-        log_joint = self._joint.log_density_table((g1, g2))
-        if i == 1:   # C order, so the sums below keep their order
-            log_joint = log_joint.T.copy()
+        w_i, w_c = trapezoid_weights(x_i), trapezoid_weights(x_c)
         log_m_i = np.asarray(self.marginal(i).log_density(x_i.reshape(-1, 1)))
         log_m_c = np.asarray(self.complement_marginal(i).log_density(x_c.reshape(-1, 1)))
-        joint = np.exp(log_joint)
-        mi = float(np.sum(w2 * joint * (log_joint - log_m_i[:, None] - log_m_c[None, :])))
-        w_c = trapezoid_weights(x_c)
+        mi = h_cond = h_cond_i = 0.0
+        for rows in table_row_chunks((x_i.size, x_c.size)):
+            if i == 0:
+                log_joint = self._joint.log_density_table((g1[rows], g2))
+            else:   # C order, so the sums below keep their order
+                log_joint = self._joint.log_density_table((g1, g2[rows])).T.copy()
+            w_joint = np.multiply.outer(w_i[rows], w_c)   # tensor trapezoid weights
+            w_joint *= np.exp(log_joint)
+            a = log_joint - log_m_i[rows, None]
+            h_cond -= float(np.sum(w_joint * a))
+            a -= log_m_c
+            mi += float(np.sum(w_joint * a))
+            log_joint -= log_m_c
+            h_cond_i -= float(np.sum(w_joint * log_joint))
         h_c = -float(np.sum(w_c * np.exp(log_m_c) * log_m_c))
-        h_cond = -float(np.sum(w2 * joint * (log_joint - log_m_i[:, None])))
-        w_i = trapezoid_weights(x_i)
         h_i = -float(np.sum(w_i * np.exp(log_m_i) * log_m_i))
-        h_cond_i = -float(np.sum(w2 * joint * (log_joint - log_m_c[None, :])))
         return InfoEquality(mi, h_c, h_cond, h_i, h_cond_i, method="quadrature")
 
     # --- coordinate-ascent machinery ---------------------------------------

@@ -26,7 +26,6 @@ from duality_bench.errors import ModelError
 __all__ = [
     "trapezoid_weights",
     "gaussian_grid",
-    "tensor_weights",
     "normalized_on",
     "Factor",
     "GridFactor",
@@ -61,14 +60,6 @@ def gaussian_grid(mean: float, std: float, n: int = GRID_POINTS_1D) -> np.ndarra
     if n > np.iinfo(np.intp).max // np.dtype(float).itemsize:
         raise ValueError(f"{n} nodes are more than numpy can index")
     return np.linspace(mean - HALF_WIDTH_SIGMAS * std, mean + HALF_WIDTH_SIGMAS * std, n)
-
-
-def tensor_weights(*grids) -> np.ndarray:
-    """Outer product of per-axis trapezoid weights."""
-    w = trapezoid_weights(grids[0])
-    for g in grids[1:]:
-        w = np.multiply.outer(w, trapezoid_weights(g))
-    return w
 
 
 def normalized_on(weights, values) -> np.ndarray:

@@ -160,9 +160,10 @@ def _int_slots(c):
 
 def write_trace_csv(path, header: list[str], first_cycle: int, samples: np.ndarray) -> None:
     """The bytes of ``write_csv`` for rows ``[first_cycle + r, *samples[r]]``:
-    one finiteness check over the array, then per chunk of rows one matrix of
-    byte slots (the cycle, then per column ``,`` and the value's slots, then
-    the newline) whose NULs one ``translate`` drops."""
+    one finiteness check over the array before the file is opened, then per
+    chunk of rows one matrix of byte slots (the cycle, then per column ``,``
+    and the value's slots, then the newline) whose NULs one ``translate``
+    drops, written as soon as it is made."""
     samples = np.asarray(samples, dtype=float)
     finite = np.isfinite(samples)
     if not finite.all():
@@ -170,14 +171,14 @@ def write_trace_csv(path, header: list[str], first_cycle: int, samples: np.ndarr
         raise ValueError(f"non-finite value {bad!r} cannot be serialized")
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerow(header)
-    parts = [buf.getvalue().encode("utf-8")]
     rows, cols = samples.shape
-    for r0 in range(0, rows, _ROW_CHUNK):
-        block = samples[r0:r0 + _ROW_CHUNK].T
-        m = block.shape[1]
-        cells = np.full((cols, 45, m), ord(","), np.uint8)
-        cells[:, 1:] = _float_slots(block.ravel()).reshape(44, cols, m).transpose(1, 0, 2)
-        out = np.vstack([_int_slots(np.arange(first_cycle + r0, first_cycle + r0 + m)),
-                         cells.reshape(-1, m), np.full((1, m), ord("\n"), np.uint8)])
-        parts.append(out.T.tobytes().translate(None, b"\0"))
-    Path(path).write_bytes(b"".join(parts))
+    with open(path, "wb") as f:
+        f.write(buf.getvalue().encode("utf-8"))
+        for r0 in range(0, rows, _ROW_CHUNK):
+            block = samples[r0:r0 + _ROW_CHUNK].T
+            m = block.shape[1]
+            cells = np.full((cols, 45, m), ord(","), np.uint8)
+            cells[:, 1:] = _float_slots(block.ravel()).reshape(44, cols, m).transpose(1, 0, 2)
+            out = np.vstack([_int_slots(np.arange(first_cycle + r0, first_cycle + r0 + m)),
+                             cells.reshape(-1, m), np.full((1, m), ord("\n"), np.uint8)])
+            f.write(out.T.tobytes().translate(None, b"\0"))

@@ -387,6 +387,11 @@ class TestDiagnose:
                    "joint_pmf": [0.5, 0.0, 0.0, 0.5]},
          "factors": [{"type": "discrete", "pmf": [0.0, 1.0]},
                      {"type": "discrete", "pmf": [1.0, 0.0]}]},
+        {"model": {"family": "discrete", "support_sizes": [2, 2, 2],   # three blocks
+                   "joint_pmf": [0.5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.5]},
+         "factors": [{"type": "discrete", "pmf": [0.5, 0.5]},
+                     {"type": "discrete", "pmf": [0.5, 0.5]},
+                     {"type": "discrete", "pmf": [0.5, 0.5]}]},
         {"factors": [GAUSSIAN_FACTOR, {**GAUSSIAN_FACTOR, "covariance": [[float("nan")]]}]},
         {"factors": [GAUSSIAN_FACTOR, {**GAUSSIAN_FACTOR, "covariance": [[float("inf")]]}]},
     ])

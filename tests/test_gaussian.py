@@ -4,6 +4,8 @@ Every derived expectation is checked against a quadrature or sampling oracle
 implemented independently in oracles.py.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +13,7 @@ from hypothesis.extra.numpy import arrays
 
 from duality_bench import GaussianFactor, GaussianTarget, ModelError, make_decomposition, make_rng
 from duality_bench.gaussian import kl_divergence, mutual_information
+from duality_bench.quadrature import GRID_POINTS_2D, gaussian_grid, trapezoid_weights
 
 from oracles import (
     cavi_fixed_point,
@@ -342,3 +345,102 @@ def test_both_table_routes_are_log_density_across_chunk_boundaries(sizes, chunk_
     for table in (GaussianFactor(model.mean, model.covariance).log_density_table(grids), default):
         assert table.shape == sizes
         assert table.tobytes() == expected
+
+
+INFO_FIELDS = ("mutual_information", "complement_entropy", "conditional_entropy",
+               "block_entropy", "conditional_block_entropy")
+
+
+def info_values(info) -> np.ndarray:
+    return np.array([getattr(info, name) for name in INFO_FIELDS])
+
+
+def dense_info_quadrature(model, i) -> np.ndarray:
+    """The quadrature information on the whole 513^2 log-joint table at once,
+    each sum one np.sum over the table: the sums that the row chunks regroup."""
+    g1 = gaussian_grid(model.mean[0], np.sqrt(model.covariance[0, 0]), GRID_POINTS_2D)
+    g2 = gaussian_grid(model.mean[1], np.sqrt(model.covariance[1, 1]), GRID_POINTS_2D)
+    x_i, x_c = (g1, g2) if i == 0 else (g2, g1)
+    w2 = np.multiply.outer(trapezoid_weights(x_i), trapezoid_weights(x_c))
+    log_joint = GaussianFactor(model.mean, model.covariance).log_density_table((g1, g2))
+    if i == 1:
+        log_joint = log_joint.T.copy()
+    log_m_i = np.asarray(model.marginal(i).log_density(x_i.reshape(-1, 1)))
+    log_m_c = np.asarray(model.complement_marginal(i).log_density(x_c.reshape(-1, 1)))
+    joint = np.exp(log_joint)
+    mi = float(np.sum(w2 * joint * (log_joint - log_m_i[:, None] - log_m_c[None, :])))
+    w_c = trapezoid_weights(x_c)
+    h_c = -float(np.sum(w_c * np.exp(log_m_c) * log_m_c))
+    h_cond = -float(np.sum(w2 * joint * (log_joint - log_m_i[:, None])))
+    w_i = trapezoid_weights(x_i)
+    h_i = -float(np.sum(w_i * np.exp(log_m_i) * log_m_i))
+    h_cond_i = -float(np.sum(w2 * joint * (log_joint - log_m_c[None, :])))
+    return np.array([mi, h_c, h_cond, h_i, h_cond_i])
+
+
+def correlated_bivariate(mean, var, rho) -> GaussianTarget:
+    cross = rho * np.sqrt(var[0] * var[1])
+    return GaussianTarget(list(mean), [[var[0], cross], [cross, var[1]]],
+                          make_decomposition([1, 1]))
+
+
+def random_bivariate(rng) -> GaussianTarget:
+    """Mean in [-5, 5]^2, variances in [0.1, 10], |rho| <= 0.95."""
+    return correlated_bivariate(rng.uniform(-5.0, 5.0, 2), rng.uniform(0.1, 10.0, 2),
+                                rng.uniform(-0.95, 0.95))
+
+
+BENCH_GAUSSIAN = ([0.0, 0.0], [[1.0, 1.0], [1.0, 4.0]])
+
+
+class TestInformationQuadrature:
+    @settings(derandomize=True, max_examples=25, deadline=None, database=None)
+    @given(mean=st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)),
+           var=st.tuples(st.floats(0.1, 10.0), st.floats(0.1, 10.0)),
+           rho=st.floats(-0.95, 0.95))
+    def test_row_chunks_agree_with_the_dense_table_and_the_closed_forms(self, mean, var, rho):
+        model = correlated_bivariate(mean, var, rho)
+        for i in range(2):
+            info = model.information_equality(i)
+            assert info.method == "quadrature"
+            np.testing.assert_allclose(info_values(info), dense_info_quadrature(model, i),
+                                       rtol=0, atol=1e-14)
+            closed = model.information_equality(i, method="closed_form")
+            np.testing.assert_allclose(info_values(info), info_values(closed),
+                                       rtol=0, atol=1e-8)
+
+    def test_one_chunk_is_the_dense_table_bit_for_bit(self, monkeypatch):
+        import duality_bench.core as core
+
+        monkeypatch.setattr(core, "TABLE_CHUNK_POINTS", 2**62)
+        rng = np.random.default_rng(27)
+        for model in (GaussianTarget(*BENCH_GAUSSIAN, make_decomposition([1, 1])),
+                      random_bivariate(rng), random_bivariate(rng)):
+            for i in range(2):
+                info = info_values(model.information_equality(i))
+                assert info.tobytes() == dense_info_quadrature(model, i).tobytes()
+
+    def test_one_row_per_chunk_stays_near_the_dense_table(self, monkeypatch):
+        import duality_bench.core as core
+
+        # one 513-node row per chunk; the tables of block 1's chunks, 513 x 1,
+        # are then one chunk each
+        monkeypatch.setattr(core, "TABLE_CHUNK_POINTS", GRID_POINTS_2D)
+        rng = np.random.default_rng(28)
+        for _ in range(8):
+            model = random_bivariate(rng)
+            for i in range(2):
+                np.testing.assert_allclose(info_values(model.information_equality(i)),
+                                           dense_info_quadrature(model, i), rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("i", [0, 1])
+    def test_the_route_holds_no_dense_table(self, i):
+        # a 513^2 table of doubles is 2.0 MiB; the dense reference holds six
+        model = GaussianTarget(*BENCH_GAUSSIAN, make_decomposition([1, 1]))
+        tracemalloc.start()
+        try:
+            model.information_equality(i)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20

@@ -2,6 +2,8 @@
 ``"%.17g"``, its bytes against write_csv, and the JSON emitter's float lists
 against item-by-item formatting."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -118,6 +120,18 @@ def test_non_finite_sample_raises(tmp_path, bad):
     with pytest.raises(ValueError, match="non-finite value"):
         write_trace_csv(tmp_path / "trace.csv", HEADER[:3], 1, samples)
     assert not (tmp_path / "trace.csv").exists()
+
+
+def test_trace_csv_is_written_chunk_by_chunk(tmp_path):
+    # the file is 2.2 MB; holding every chunk's bytes and their join peaks at 5.1 MiB
+    samples = gaussian_trace(49_000)
+    tracemalloc.start()
+    try:
+        write_trace_csv(tmp_path / "trace.csv", HEADER[:3], 1, samples)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * 2**20
 
 
 def items_json(items) -> str:
